@@ -17,7 +17,6 @@ from __future__ import annotations
 import typing as _t
 
 from repro.mem.block import BlockState, DataBlock
-from repro.mem.registry import BlockRegistry
 
 if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.core.hbm import HBMTracker
@@ -41,13 +40,19 @@ class EvictionPolicy:
         """Blocks to evict right after ``task`` finished."""
         raise NotImplementedError
 
-    def make_space_victims(self, registry: BlockRegistry, needed_bytes: int,
+    def make_space_victims(self, candidates: _t.Iterable[DataBlock],
+                           needed_bytes: int,
                            include_demanded: bool = True) -> list[DataBlock]:
-        """Blocks to evict so that ``needed_bytes`` can be fetched."""
+        """Blocks to evict so that ``needed_bytes`` can be fetched.
+
+        ``candidates`` may be any superset of the evictable blocks — the
+        manager passes its evictable index, but a whole registry works too;
+        non-evictable ones are skipped.
+        """
         raise NotImplementedError
 
 
-def _lru_victims(registry: BlockRegistry, needed_bytes: int,
+def _lru_victims(candidates: _t.Iterable[DataBlock], needed_bytes: int,
                  include_demanded: bool = True) -> list[DataBlock]:
     """LRU victims, demand-aware: blocks that queued tasks still reference
     (``demand > 0``) are only chosen once every unreferenced candidate is
@@ -61,16 +66,18 @@ def _lru_victims(registry: BlockRegistry, needed_bytes: int,
     # still-demanded blocks the FIFO wait queues make next use knowable:
     # evict the block whose earliest pending task is *farthest away*
     # (Belady's rule), not the LRU one — for cyclic reuse patterns LRU
-    # would evict exactly the block needed soonest.
-    candidates = sorted(
-        (b for b in registry if _evictable(b)
+    # would evict exactly the block needed soonest.  The key is a total
+    # order (bid breaks ties), so the result does not depend on the order
+    # ``candidates`` arrives in.
+    ordered = sorted(
+        (b for b in candidates if _evictable(b)
          and (include_demanded or b.demand == 0)),
         key=lambda b: (
             (0, b.last_scheduled_at if b.last_scheduled_at is not None
              else -1.0, b.bid)
             if b.demand == 0 else
             (1, -b.next_use, b.bid)))
-    for block in candidates:
+    for block in ordered:
         if freed >= needed_bytes:
             break
         victims.append(block)
@@ -111,9 +118,10 @@ class OwnBlocksEviction(EvictionPolicy):
         # every wait queue, so evicting them is avoidable thrash.
         return [b for b in task.blocks if _evictable(b) and b.demand == 0]
 
-    def make_space_victims(self, registry: BlockRegistry, needed_bytes: int,
+    def make_space_victims(self, candidates: _t.Iterable[DataBlock],
+                           needed_bytes: int,
                            include_demanded: bool = True) -> list[DataBlock]:
-        return _lru_victims(registry, needed_bytes, include_demanded)
+        return _lru_victims(candidates, needed_bytes, include_demanded)
 
 
 class LRUEviction(EvictionPolicy):
@@ -125,9 +133,10 @@ class LRUEviction(EvictionPolicy):
                           tracker: "HBMTracker | None" = None) -> list[DataBlock]:
         return []
 
-    def make_space_victims(self, registry: BlockRegistry, needed_bytes: int,
+    def make_space_victims(self, candidates: _t.Iterable[DataBlock],
+                           needed_bytes: int,
                            include_demanded: bool = True) -> list[DataBlock]:
-        return _lru_victims(registry, needed_bytes, include_demanded)
+        return _lru_victims(candidates, needed_bytes, include_demanded)
 
 
 class NoEviction(EvictionPolicy):
@@ -139,6 +148,7 @@ class NoEviction(EvictionPolicy):
                           tracker: "HBMTracker | None" = None) -> list[DataBlock]:
         return []
 
-    def make_space_victims(self, registry: BlockRegistry, needed_bytes: int,
+    def make_space_victims(self, candidates: _t.Iterable[DataBlock],
+                           needed_bytes: int,
                            include_demanded: bool = True) -> list[DataBlock]:
         return []

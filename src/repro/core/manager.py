@@ -59,15 +59,24 @@ class OOCManager:
         self.tasks_readied = 0
         self.tasks_completed = 0
         self.placement_done = False
-        #: bumped whenever eviction candidacy may have changed (task
-        #: completions, moves); lets scanners memoize negative results
+        #: bumped once per task completion (post_process) — and only
+        #: there, not on moves or refcount changes.  Strategies memoize
+        #: negative capacity answers per epoch, so within one epoch they
+        #: may read stale freeable/candidate state; that staleness is part
+        #: of the simulated schedule.
         self.change_epoch = 0
+        #: bid -> block of every registry block that is INHBM with refcount
+        #: 0 and not pinned (an eviction candidate), and their byte total;
+        #: kept by :meth:`block_changed`
+        self.evictable: dict[int, DataBlock] = {}
+        self.evictable_bytes = 0
         #: (time, hbm bytes in use) samples, one per completed move, when
         #: tracing is on — drives the occupancy timeline
         self.occupancy_log: list[tuple[float, int]] = []
         #: active :class:`repro.lint.sanitizer.SimSanitizer`, or None (set
         #: by ``SimSanitizer.install(manager)``)
         self.sanitizer: _t.Any = None
+        self.registry.watch(self)
         strategy.attach(self)
         runtime.install_interceptor(self)
 
@@ -99,7 +108,7 @@ class OOCManager:
         deps = message.entry.resolve_deps(message.target)
         task = OOCTask(message, pe.id, deps, self.env.now)
         for block in task.blocks:
-            block.add_demand(task.tid)
+            block.add_demand(task.tid, task)
         if task.total_dep_bytes > self.tracker.budget:
             raise SchedulingError(
                 f"task #{task.tid} needs {task.total_dep_bytes}B of HBM but "
@@ -121,11 +130,47 @@ class OOCManager:
             block.drop_demand(task.tid)
         self.tasks_completed += 1
         self.change_epoch += 1
+        if self.sanitizer is not None:
+            self.sanitizer.check_bookkeeping(self)
         yield from self.strategy.task_finished(pe, task)
 
     def retry(self, pe: PE) -> _t.Generator:
         """A :class:`~repro.runtime.interception.RetryFetch` arrived."""
         yield from self.strategy.retry_waiting(pe)
+
+    # -- incremental bookkeeping ----------------------------------------------------
+
+    def block_changed(self, block: DataBlock, old_state: BlockState) -> None:
+        """A registry block moved, settled, was retained/released to or from
+        zero, or was (un)pinned (:attr:`DataBlock.watch` callback).
+
+        Leaving or entering DDR shifts the missing-byte counter of every
+        dependent task (the block's pending demand) and, for a task parked
+        in a wait queue, that PE's total; the evictable index follows the
+        block's new state.
+        """
+        state = block.state
+        if state is not old_state and (state is BlockState.INDDR
+                                       or old_state is BlockState.INDDR):
+            delta = block.nbytes if state is BlockState.INDDR \
+                else -block.nbytes
+            for task in block.dependents:
+                if task is not None:
+                    task.missing += delta
+                    if task.waiting_on is not None:
+                        task.waiting_on.wait_missing += delta
+        if state is BlockState.INHBM and not block.in_use \
+                and not block.pinned:
+            if block.bid not in self.evictable:
+                self.evictable[block.bid] = block
+                self.evictable_bytes += block.nbytes
+        elif self.evictable.pop(block.bid, None) is not None:
+            self.evictable_bytes -= block.nbytes
+
+    def block_forgotten(self, block: DataBlock) -> None:
+        """A block left the registry: drop it from the evictable index."""
+        if self.evictable.pop(block.bid, None) is not None:
+            self.evictable_bytes -= block.nbytes
 
     # -- helpers used by strategies -------------------------------------------------
 

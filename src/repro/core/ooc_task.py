@@ -32,9 +32,9 @@ class TaskState(enum.Enum):
 class OOCTask:
     """A prefetch task: message + resolved, deduplicated dependences."""
 
-    __slots__ = ("tid", "message", "pe_id", "deps", "state",
-                 "submitted_at", "ready_at", "started_at", "finished_at",
-                 "retained")
+    __slots__ = ("tid", "message", "pe_id", "deps", "blocks", "missing",
+                 "waiting_on", "state", "submitted_at", "ready_at",
+                 "started_at", "finished_at", "retained")
 
     def __init__(self, message: Message, pe_id: int,
                  deps: _t.Sequence[tuple[DataBlock, AccessIntent]],
@@ -53,6 +53,17 @@ class OOCTask:
             merged[block.bid] = (block, intent)
         self.deps: tuple[tuple[DataBlock, AccessIntent], ...] = tuple(
             merged[k] for k in sorted(merged))
+        self.blocks: tuple[DataBlock, ...] = tuple(
+            block for block, _ in self.deps)
+        #: bytes of the dependences in DDR (neither resident nor moving).
+        #: Exact from construction on; kept current by the OOC manager
+        #: while the task is registered as its blocks' demand
+        #: (``DataBlock.add_demand``), i.e. from interception to completion
+        self.missing = sum(block.nbytes for block in self.blocks
+                           if block.state is BlockState.INDDR)
+        #: the PE whose wait queue holds this task, or None (set by
+        #: ``PE.wait_enqueue`` / ``wait_requeue_front`` / ``wait_dequeue``)
+        self.waiting_on: _t.Any = None
         self.state = TaskState.WAITING
         self.submitted_at = now
         self.ready_at: float | None = None
@@ -62,10 +73,6 @@ class OOCTask:
         self.retained = False
 
     # -- dependence views -----------------------------------------------------
-
-    @property
-    def blocks(self) -> tuple[DataBlock, ...]:
-        return tuple(block for block, _ in self.deps)
 
     @property
     def chare(self) -> _t.Any:

@@ -243,20 +243,19 @@ class Strategy:
         # the tasks still sitting in wait queues actually miss.  For a
         # fitting working set (nothing missing) this is zero — evicting
         # would purge hot data the next iteration refetches.
-        pending_missing = sum(
-            self.missing_bytes(task)
-            for pe in mgr.runtime.pes for task in pe.wait_queue)
+        pending_missing = sum(pe.wait_missing for pe in mgr.runtime.pes)
         low = min(int(self.watermark_low * budget), pending_missing)
         if mgr.tracker.uncommitted >= low or pending_missing == 0:
             return False
-        # memoize fruitless scans: candidacy only changes when a task
-        # completes or a block moves (manager.change_epoch)
+        # Memoize fruitless scans per change epoch.  The epoch advances
+        # only on task completions, so a block moving or a refcount
+        # dropping within an epoch is not seen until the next completion.
         if self._wm_seen_epoch == mgr.change_epoch:
             return False
         high = min(int(self.watermark_high * budget), pending_missing)
         needed = high - mgr.tracker.uncommitted
-        victims = mgr.eviction.make_space_victims(mgr.registry, needed,
-                                                  include_demanded=False)
+        victims = mgr.eviction.make_space_victims(
+            mgr.evictable.values(), needed, include_demanded=False)
         if not victims:
             self._wm_seen_epoch = mgr.change_epoch
             return False
@@ -270,11 +269,7 @@ class Strategy:
 
     def missing_bytes(self, task: OOCTask) -> int:
         """Bytes of ``task``'s dependences not in (or moving to) HBM."""
-        total = 0
-        for block in task.blocks:
-            if block.state is BlockState.INDDR:
-                total += block.nbytes
-        return total
+        return task.missing
 
     def can_fetch_task(self, task: OOCTask) -> bool:
         """Would the whole task's missing data fit right now?
@@ -292,14 +287,12 @@ class Strategy:
         if mgr.tracker.can_fit(need):
             return True
         shortfall = need - mgr.tracker.uncommitted
-        # One O(registry) freeable scan per change epoch (completions and
-        # moves are what change candidacy); probes between epochs reuse it.
+        # Read the freeable total once per change epoch (task completions);
+        # probes within an epoch reuse that reading even if moves or
+        # refcount drops have changed the live total since.
         epoch, freeable_total = self._freeable_cache
         if epoch != mgr.change_epoch:
-            freeable_total = sum(
-                block.nbytes for block in mgr.registry
-                if block.state is BlockState.INHBM and not block.in_use
-                and not block.pinned)
+            freeable_total = mgr.evictable_bytes
             self._freeable_cache = (mgr.change_epoch, freeable_total)
         # the task's own resident blocks are about to be retained, so they
         # cannot be victims — subtract them from the freeable estimate
@@ -339,8 +332,8 @@ class Strategy:
             self._needs_demand_evict = False
             shortfall = self.missing_bytes(task) - mgr.tracker.uncommitted
             if shortfall > 0:
-                victims = mgr.eviction.make_space_victims(mgr.registry,
-                                                          shortfall)
+                victims = mgr.eviction.make_space_victims(
+                    mgr.evictable.values(), shortfall)
                 for victim in victims:
                     if victim.state is BlockState.INHBM and not victim.in_use:
                         yield from self.evict_block(victim, lane,

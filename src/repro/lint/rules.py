@@ -144,6 +144,11 @@ _ALL = [
          "the environment's live-event counter disagrees with the entries "
          "actually stored at quiescence — the event core lost or "
          "double-counted a scheduled event"),
+    Rule("SAN209", Severity.ERROR, "incremental-bookkeeping-drift",
+         "a task's missing-byte counter, a PE's wait-queue missing total, "
+         "or the OOC manager's evictable index or byte total disagrees "
+         "with a from-scratch recount — a block transition bypassed the "
+         "callbacks that keep them current"),
     # -- placement-state model checker (repro.race.model_checker) ------------
     Rule("REP200", Severity.ERROR, "raw-state-assignment",
          "a BlockState is assigned directly to .state outside DataBlock — "

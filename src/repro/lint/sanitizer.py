@@ -22,7 +22,11 @@ sanitizer is an opt-in observer over the instrumented hook points in
   (SAN207);
 * **event-queue conservation drift** — the environment's live-entry
   counter disagreeing with the entries actually stored at quiescence,
-  i.e. the event core lost or double-counted an event (SAN208).
+  i.e. the event core lost or double-counted an event (SAN208);
+* **incremental bookkeeping drift** — a task's missing-byte counter, a
+  PE's wait-queue total, or the manager's evictable index and byte total
+  disagreeing with a from-scratch recount (SAN209; checked after every
+  task completion and in :meth:`SimSanitizer.check_now`).
 
 Usage::
 
@@ -46,6 +50,7 @@ import typing as _t
 
 from repro.lint import hooks
 from repro.lint.findings import LintViolation, Violation
+from repro.mem.block import BlockState
 
 if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.core.manager import OOCManager
@@ -236,12 +241,82 @@ class SimSanitizer:
 
     # -- whole-machine checks -------------------------------------------------------
 
-    def check_now(self, manager: "OOCManager | None" = None) -> int:
-        """Capacity-conservation sweep; returns new violation count."""
+    def check_bookkeeping(self, manager: "OOCManager | None" = None) -> int:
+        """SAN209: recount the incremental scheduler state from scratch.
+
+        Compares every live task's ``missing`` counter, every PE's
+        ``wait_missing`` total and the manager's evictable index and
+        ``evictable_bytes`` with values derived from the blocks alone.
+        Returns the number of new violations.
+        """
         mgr = manager or self.manager
         if mgr is None:
             return 0
         before = len(self.violations)
+
+        def missing(task: _t.Any) -> int:
+            return sum(block.nbytes for block in task.blocks
+                       if block.state is BlockState.INDDR)
+
+        live: dict[int, _t.Any] = {}
+        evictable: dict[int, int] = {}
+        for block in mgr.registry:
+            for task in block.dependents:
+                if task is not None:
+                    live[task.tid] = task
+            if block.state is BlockState.INHBM and not block.in_use \
+                    and not block.pinned:
+                evictable[block.bid] = block.nbytes
+        for task in live.values():
+            truth = missing(task)
+            if task.missing != truth:
+                self._report(
+                    "SAN209",
+                    f"task #{task.tid} counts {task.missing}B missing but "
+                    f"its dependences in DDR sum to {truth}B",
+                    counted=task.missing, recounted=truth)
+        for pe in mgr.runtime.pes:
+            truth = 0
+            for task in pe.wait_queue:
+                if getattr(task, "missing", None) is None:
+                    continue
+                truth += missing(task)
+                if task.waiting_on is not pe:
+                    self._report(
+                        "SAN209",
+                        f"task #{task.tid} sits in pe{pe.id}'s wait queue "
+                        "but is not recorded as waiting there", pe=pe.id)
+            if pe.wait_missing != truth:
+                self._report(
+                    "SAN209",
+                    f"pe{pe.id} wait queue counts {pe.wait_missing}B "
+                    f"missing but its tasks miss {truth}B",
+                    pe=pe.id, counted=pe.wait_missing, recounted=truth)
+        if evictable.keys() != mgr.evictable.keys():
+            extra = sorted(mgr.evictable.keys() - evictable.keys())
+            absent = sorted(evictable.keys() - mgr.evictable.keys())
+            self._report(
+                "SAN209",
+                f"evictable index drifted: {len(extra)} stale and "
+                f"{len(absent)} missing block(s)",
+                stale=extra[:8], missing=absent[:8])
+        truth = sum(evictable.values())
+        if mgr.evictable_bytes != truth:
+            self._report(
+                "SAN209",
+                f"evictable bytes count {mgr.evictable_bytes}B but the "
+                f"evictable blocks sum to {truth}B",
+                counted=mgr.evictable_bytes, recounted=truth)
+        return len(self.violations) - before
+
+    def check_now(self, manager: "OOCManager | None" = None) -> int:
+        """Capacity-conservation and bookkeeping sweep; returns new
+        violation count."""
+        mgr = manager or self.manager
+        if mgr is None:
+            return 0
+        before = len(self.violations)
+        self.check_bookkeeping(mgr)
         per_device: dict[str, int] = {}
         for block in mgr.registry:
             if block.allocation is not None and block.allocation.live \

@@ -10,6 +10,14 @@ query metadata about the data block".  Each handle carries:
   (we add transient ``MOVING`` so in-flight transfers are observable),
 * a **reference count**, "incremented every time a task depending on the
   block is scheduled", which gates eviction in the post-processing step.
+
+The OOC manager keeps incremental scheduler state (per-task missing
+bytes, the evictable-block index) derived from these fields.  It learns
+of every change through one per-block callback slot, ``watch``, which the
+four transitions — :meth:`~DataBlock.begin_move`,
+:meth:`~DataBlock.settle`, :meth:`~DataBlock.retain`,
+:meth:`~DataBlock.release` — and the ``pinned`` setter call as
+``watch(block, old_state)`` after they changed the block.
 """
 
 from __future__ import annotations
@@ -73,7 +81,7 @@ class DataBlock:
 
     __slots__ = (
         "bid", "name", "nbytes", "state", "device", "allocation",
-        "_refcount", "_pending", "_next_use", "pinned",
+        "_refcount", "_pending", "_next_use", "_pinned", "watch",
         "last_scheduled_at", "last_evicted_at", "fetch_count",
         "evict_count", "bytes_moved", "payload", "owner",
     )
@@ -94,14 +102,18 @@ class DataBlock:
         #: live allocation handle on ``device``
         self.allocation: "Allocation | None" = None
         self._refcount = 0
-        # Pending demand: serial numbers of queued-but-unfinished tasks
-        # referencing this block.  The wait queues are FIFO, so the
-        # smallest pending serial approximates the block's next use —
-        # which lets eviction be Belady-like instead of guessing.
-        self._pending: set[int] = set()
+        # Pending demand: serial -> task of every queued-but-unfinished
+        # task referencing this block (the task is None when only the
+        # serial is known).  The wait queues are FIFO, so the smallest
+        # pending serial approximates the block's next use — which lets
+        # eviction be Belady-like instead of guessing.  The tasks are the
+        # block's dependents, whose missing-byte counters the manager
+        # adjusts when the block leaves or re-enters DDR.
+        self._pending: dict[int, _t.Any] = {}
         self._next_use: int | None = None  # cached min(self._pending)
-        #: pinned blocks are never evicted (used by node-group caching)
-        self.pinned = False
+        self._pinned = False
+        #: change callback ``watch(block, old_state)``, or None
+        self.watch: _t.Callable[["DataBlock", BlockState], None] | None = None
         self.last_scheduled_at: float | None = None
         self.last_evicted_at: float | None = None
         self.fetch_count = 0
@@ -129,6 +141,8 @@ class DataBlock:
         self._refcount += 1
         if now is not None:
             self.last_scheduled_at = now
+        if self.watch is not None and self._refcount == 1:
+            self.watch(self, self.state)
         return self._refcount
 
     def release(self) -> int:
@@ -139,12 +153,31 @@ class DataBlock:
             raise BlockStateError(
                 f"refcount underflow on block {self.name!r}")
         self._refcount -= 1
+        if self.watch is not None and self._refcount == 0:
+            self.watch(self, self.state)
         return self._refcount
+
+    @property
+    def pinned(self) -> bool:
+        """Pinned blocks are never evicted (used by node-group caching)."""
+        return self._pinned
+
+    @pinned.setter
+    def pinned(self, value: bool) -> None:
+        self._pinned = value
+        if self.watch is not None:
+            self.watch(self, self.state)
 
     @property
     def demand(self) -> int:
         """Queued tasks (waiting, fetching, ready or running) needing this block."""
         return len(self._pending)
+
+    @property
+    def dependents(self) -> _t.ValuesView[_t.Any]:
+        """The pending tasks needing this block (None where only the
+        serial was recorded)."""
+        return self._pending.values()
 
     @property
     def next_use(self) -> int:
@@ -159,14 +192,14 @@ class DataBlock:
             self._next_use = min(self._pending)
         return self._next_use
 
-    def add_demand(self, task_serial: int) -> None:
-        self._pending.add(task_serial)
+    def add_demand(self, task_serial: int, task: _t.Any = None) -> None:
+        self._pending[task_serial] = task
         if self._next_use is not None and task_serial < self._next_use:
             self._next_use = task_serial
 
     def drop_demand(self, task_serial: int) -> None:
         try:
-            self._pending.remove(task_serial)
+            del self._pending[task_serial]
         except KeyError:
             raise BlockStateError(
                 f"demand underflow on block {self.name!r}") from None
@@ -190,16 +223,22 @@ class DataBlock:
     def begin_move(self) -> None:
         if _hooks.observer is not None:
             _hooks.observer.on_begin_move(self)
-        if self.state is BlockState.MOVING:
+        old = self.state
+        if old is BlockState.MOVING:
             raise BlockStateError(f"block {self.name!r} is already moving")
         self.state = BlockState.MOVING
+        if self.watch is not None:
+            self.watch(self, old)
 
     def settle(self, device: "MemoryDevice", state: BlockState) -> None:
         """Finish a move: bind to ``device`` with a concrete state."""
         if state is BlockState.MOVING:
             raise BlockStateError("settle() needs a concrete state")
+        old = self.state
         self.device = device
         self.state = state
+        if self.watch is not None:
+            self.watch(self, old)
         if _hooks.observer is not None:
             _hooks.observer.on_settle(self)
 

@@ -22,6 +22,10 @@ class BlockRegistry:
     def __init__(self, topology: MemoryTopology):
         self.topology = topology
         self._blocks: dict[int, DataBlock] = {}
+        #: receives every registered block's changes (see :meth:`watch`)
+        self.watcher: _t.Any = None
+        # the watcher's bound ``block_changed``, shared by every block
+        self._callback: _t.Any = None
 
     # -- membership -----------------------------------------------------------
 
@@ -29,10 +33,29 @@ class BlockRegistry:
         if block.bid in self._blocks:
             raise BlockStateError(f"block {block.name!r} registered twice")
         self._blocks[block.bid] = block
+        if self._callback is not None:
+            block.watch = self._callback
+            self._callback(block, block.state)
         return block
 
     def unregister(self, block: DataBlock) -> None:
-        self._blocks.pop(block.bid, None)
+        if self._blocks.pop(block.bid, None) is not None \
+                and block.watch is not None:
+            block.watch = None
+            self.watcher.block_forgotten(block)
+
+    def watch(self, watcher: _t.Any) -> None:
+        """Route the changes of every block, present and future, to
+        ``watcher.block_changed(block, old_state)`` (installed as each
+        block's :attr:`DataBlock.watch`); ``watcher.block_forgotten(block)``
+        hears of unregistered blocks.  Each block is announced once on
+        attach, with ``old_state`` equal to its current state.
+        """
+        self.watcher = watcher
+        self._callback = callback = watcher.block_changed
+        for block in self._blocks.values():
+            block.watch = callback
+            callback(block, block.state)
 
     def __len__(self) -> int:
         return len(self._blocks)

@@ -41,6 +41,11 @@ class PE:
         self.run_queue = Store(env, name=f"pe{pe_id}.runq")
         #: tasks parked until their data is prefetched
         self.wait_queue: deque = deque()
+        #: summed ``missing`` bytes of the queued tasks, kept current by
+        #: the enqueue/dequeue helpers below and, while a task waits, by
+        #: the OOC manager (via the task's ``waiting_on``); plain payloads
+        #: without a ``missing`` counter count zero
+        self.wait_missing = 0
         #: protects the wait queue (cooperative, but contention is traced)
         self.wait_lock = Lock(env, name=f"pe{pe_id}.waitlock")
         self.scheduler_process: "Process | None" = None
@@ -58,20 +63,32 @@ class PE:
         if _rh.tracker is not None:
             _rh.tracker.on_handoff_put(task)
         self.wait_queue.append(task)
+        self._park(task)
 
     def wait_requeue_front(self, task: _t.Any) -> None:
         """Put a task back at the head (IO thread could not fetch it yet)."""
         if _rh.tracker is not None:
             _rh.tracker.on_handoff_put(task)
         self.wait_queue.appendleft(task)
+        self._park(task)
 
     def wait_dequeue(self) -> _t.Any | None:
         if self.wait_queue:
             task = self.wait_queue.popleft()
             if _rh.tracker is not None:
                 _rh.tracker.on_handoff_get(task)
+            missing = getattr(task, "missing", None)
+            if missing is not None:
+                self.wait_missing -= missing
+                task.waiting_on = None
             return task
         return None
+
+    def _park(self, task: _t.Any) -> None:
+        missing = getattr(task, "missing", None)
+        if missing is not None:
+            self.wait_missing += missing
+            task.waiting_on = self
 
     @property
     def wait_depth(self) -> int:

@@ -1,16 +1,19 @@
 """Strategy lifecycle guards: zero-PE validation, idempotent teardown,
 and the epoch-memoized capacity caches."""
 
+import functools
 from types import SimpleNamespace
 
 import pytest
 
 from repro.core.api import OOCRuntimeBuilder
+from repro.core.manager import OOCManager
 from repro.core.strategies import make_strategy
 from repro.errors import ConfigError
-from repro.mem.block import BlockState
+from repro.mem.block import BlockState, DataBlock
 from repro.runtime.chare import Chare
 from repro.runtime.entry import entry
+from repro.runtime.pe import PE
 from repro.sim.environment import Environment
 from repro.units import GiB, MiB
 
@@ -101,34 +104,45 @@ class TestIdempotentStop:
 # Epoch-memoized caches (_wm_seen_epoch / _freeable_cache)
 # ---------------------------------------------------------------------------
 
-def _block(nbytes, state, *, in_use=False, pinned=False):
-    return SimpleNamespace(nbytes=nbytes, state=state, in_use=in_use,
-                           pinned=pinned,
-                           in_hbm=state is BlockState.INHBM)
-
-
 class _CountingEviction:
     def __init__(self):
         self.scans = 0
 
-    def make_space_victims(self, registry, needed, include_demanded=False):
+    def make_space_victims(self, candidates, needed, include_demanded=False):
         self.scans += 1
         return []
 
 
-def _capacity_manager(*, uncommitted, budget=100 * MiB, registry=(),
-                      wait_blocks=()):
-    tasks = [SimpleNamespace(blocks=[b]) for b in wait_blocks]
-    return SimpleNamespace(
-        env=Environment(),
+def _capacity_manager(*, uncommitted, budget=100 * MiB, resident=(),
+                      waiting=()):
+    """A manager stand-in whose evictable index and wait-queue totals are
+    kept by the real bookkeeping: ``OOCManager.block_changed`` watches the
+    ``resident`` blocks and a real PE holds the ``waiting`` tasks."""
+    pe = PE(Environment(), 0, core=None)
+    mgr = SimpleNamespace(
+        env=pe.env,
         tracker=SimpleNamespace(budget=budget, uncommitted=uncommitted,
                                 can_fit=lambda n: False),
-        runtime=SimpleNamespace(
-            pes=[SimpleNamespace(wait_queue=tasks)]),
-        registry=list(registry),
+        runtime=SimpleNamespace(pes=[pe]),
+        evictable={}, evictable_bytes=0,
         eviction=_CountingEviction(),
         change_epoch=0,
     )
+    watch = functools.partial(OOCManager.block_changed, mgr)
+    for block in resident:
+        block.watch = watch
+        watch(block, block.state)
+    for task in waiting:
+        pe.wait_enqueue(task)
+    return mgr
+
+
+def _task(*blocks):
+    """A task stand-in with its missing-byte counter filled in."""
+    return SimpleNamespace(
+        blocks=blocks, waiting_on=None,
+        missing=sum(b.nbytes for b in blocks
+                    if b.state is BlockState.INDDR))
 
 
 def _drain(gen):
@@ -146,8 +160,9 @@ class TestWatermarkMemoization:
         return strategy
 
     def test_fruitless_scan_memoized_within_epoch(self):
-        missing = _block(MiB, BlockState.INDDR)
-        mgr = _capacity_manager(uncommitted=0, wait_blocks=[missing])
+        missing = DataBlock("missing", MiB)
+        mgr = _capacity_manager(uncommitted=0, waiting=[_task(missing)])
+        assert mgr.runtime.pes[0].wait_missing == MiB
         strategy = self._strategy(mgr)
         assert _drain(strategy.maintain_watermarks("io0")) is False
         assert mgr.eviction.scans == 1
@@ -157,11 +172,11 @@ class TestWatermarkMemoization:
         assert mgr.eviction.scans == 1
 
     def test_epoch_bump_invalidates_watermark_memo(self):
-        missing = _block(MiB, BlockState.INDDR)
-        mgr = _capacity_manager(uncommitted=0, wait_blocks=[missing])
+        missing = DataBlock("missing", MiB)
+        mgr = _capacity_manager(uncommitted=0, waiting=[_task(missing)])
         strategy = self._strategy(mgr)
         _drain(strategy.maintain_watermarks("io0"))
-        mgr.change_epoch += 1  # a task completed / a block moved
+        mgr.change_epoch += 1  # a task completed
         _drain(strategy.maintain_watermarks("io0"))
         assert mgr.eviction.scans == 2  # rescanned, not stale
 
@@ -173,42 +188,46 @@ class TestFreeableCacheInvalidation:
         return strategy
 
     def test_freeable_scan_cached_within_epoch(self):
-        resident = _block(64 * MiB, BlockState.INHBM)
-        need = _block(32 * MiB, BlockState.INDDR)
-        mgr = _capacity_manager(uncommitted=0, registry=[resident])
+        resident = DataBlock("resident", 64 * MiB, state=BlockState.INHBM)
+        need = DataBlock("need", 32 * MiB)
+        mgr = _capacity_manager(uncommitted=0, resident=[resident])
         strategy = self._strategy(mgr)
-        task = SimpleNamespace(blocks=[need])
+        task = _task(need)
         assert strategy.can_fetch_task(task) is True
         assert strategy._freeable_cache == (0, 64 * MiB)
-        # registry iteration is O(n); within one epoch the probe reuses the
-        # cache (replace the registry with a trap to prove it)
-        mgr.registry = None
+        # within one epoch the probe reuses the cached reading (replace
+        # the live total with a trap to prove it is not read again)
+        mgr.evictable_bytes = None
         assert strategy.can_fetch_task(task) is True
 
     def test_epoch_bump_recomputes_freeable_bytes(self):
         """A block becoming busy must be seen at the next epoch — the
         cache may never return a stale 'yes there is space'."""
-        resident = _block(64 * MiB, BlockState.INHBM)
-        need = _block(32 * MiB, BlockState.INDDR)
-        mgr = _capacity_manager(uncommitted=0, registry=[resident])
+        resident = DataBlock("resident", 64 * MiB, state=BlockState.INHBM)
+        need = DataBlock("need", 32 * MiB)
+        mgr = _capacity_manager(uncommitted=0, resident=[resident])
         strategy = self._strategy(mgr)
-        task = SimpleNamespace(blocks=[need])
+        task = _task(need)
         assert strategy.can_fetch_task(task) is True
-        # the resident block gets acquired by a running task; the manager
-        # bumps change_epoch for exactly this kind of transition
-        resident.in_use = True
+        # the resident block gets acquired by a running task, which drops
+        # it from the evictable index; the next completion bumps the epoch
+        resident.retain()
+        assert mgr.evictable_bytes == 0
         mgr.change_epoch += 1
         assert strategy.can_fetch_task(task) is False
         assert strategy._freeable_cache == (1, 0)
 
     def test_epoch_bump_sees_newly_freeable_space(self):
-        resident = _block(64 * MiB, BlockState.INHBM, in_use=True)
-        need = _block(32 * MiB, BlockState.INDDR)
-        mgr = _capacity_manager(uncommitted=0, registry=[resident])
+        resident = DataBlock("resident", 64 * MiB, state=BlockState.INHBM)
+        resident.retain()
+        need = DataBlock("need", 32 * MiB)
+        mgr = _capacity_manager(uncommitted=0, resident=[resident])
         strategy = self._strategy(mgr)
-        task = SimpleNamespace(blocks=[need])
+        task = _task(need)
         assert strategy.can_fetch_task(task) is False
-        resident.in_use = False  # its task finished
+        resident.release()  # its task finished
+        # still the same epoch: the stale "no" stands until a completion
+        assert strategy.can_fetch_task(task) is False
         mgr.change_epoch += 1
         assert strategy.can_fetch_task(task) is True
 
