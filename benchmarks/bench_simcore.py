@@ -1,4 +1,4 @@
-"""Simulation-core microbenchmark: incremental/vectorized vs full solver.
+"""Simulation-core microbenchmark: incremental vs full solver.
 
 Measures wall-clock of the event core + fluid model on two scenarios and
 records the trajectory in ``BENCH_simcore.json`` (see
@@ -19,8 +19,8 @@ records the trajectory in ``BENCH_simcore.json`` (see
   targets; the recorded ``ops_per_s`` is the before/after number quoted
   in EXPERIMENTS.md.
 * ``steady_phases`` — one phase configuration repeated ten times over a
-  shared port pair.  The flow-set-signature memo replays the cached rate
-  vectors for every phase after the first; the recorded speedup is
+  shared port pair.  The class-structure memo replays the cached rates
+  for every phase after the first; the recorded speedup is
   memo-off wall over memo-on wall on the identical timeline.
 
 Both fluid scenarios assert the two solvers agree on the simulated
@@ -29,8 +29,6 @@ cannot rot.
 """
 
 from __future__ import annotations
-
-import math
 
 import pytest
 
@@ -100,8 +98,8 @@ def run_steady_phases(*, memo: bool, lanes: int = 48, phases: int = 10,
     ``lanes`` flows with a small alphabet of (size, cap) combinations all
     start at once over one shared port pair, then drain in staggered
     departure waves — each wave a component re-solve.  Every later phase
-    repeats the exact flow-set-signature sequence of the first, so the
-    memo replays all of it; memo-off recomputes every solve.
+    repeats the exact component-key sequence of the first, so the memo
+    replays all of it; memo-off recomputes every solve.
     """
     env = Environment()
     net = FluidNetwork(env, solver="incremental", memo=memo)
@@ -189,16 +187,11 @@ def test_simcore_regression() -> None:
 
     full = _measure(run_contention, "full")
     inc = _measure(run_contention, "incremental")
-    vec = _measure(run_contention, "vectorized")
-    # identical simulated timelines (same final instant); the vectorized
-    # kernel must match the scalar incremental one *exactly*, not approx
+    # identical simulated timelines (same final instant)
     assert inc["sim_time_s"] == pytest.approx(full["sim_time_s"], rel=1e-9)
-    assert vec["sim_time_s"] == inc["sim_time_s"]
-    assert vec["solves"] == inc["solves"]
     contention_speedup = full["wall_s"] / inc["wall_s"]
     metrics["contention_64pe"] = {
         "full_s": full["wall_s"], "incremental_s": inc["wall_s"],
-        "vectorized_s": vec["wall_s"],
         "speedup": contention_speedup,
         "full_solves": full["solves"], "incremental_solves": inc["solves"],
         "sim_time_s": inc["sim_time_s"],
@@ -286,10 +279,8 @@ if __name__ == "__main__":  # pragma: no cover - manual run convenience
                      ("shared_link_movers", run_shared_link_movers)):
         f = _measure(fn, "full")
         i = _measure(fn, "incremental")
-        v = _measure(fn, "vectorized")
         print(f"{name}: full {f['wall_s']:.3f}s incremental "
-              f"{i['wall_s']:.3f}s ({f['wall_s']/i['wall_s']:.1f}x) "
-              f"vectorized {v['wall_s']:.3f}s",
+              f"{i['wall_s']:.3f}s ({f['wall_s']/i['wall_s']:.1f}x)",
               file=sys.stderr)
     on_w, (_, on_net) = best_wall_time(
         lambda: run_steady_phases(memo=True), repeats=2)

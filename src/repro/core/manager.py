@@ -132,6 +132,7 @@ class OOCManager:
         self.change_epoch += 1
         if self.sanitizer is not None:
             self.sanitizer.check_bookkeeping(self)
+            self.sanitizer.check_fluid(self.machine.network)
         yield from self.strategy.task_finished(pe, task)
 
     def retry(self, pe: PE) -> _t.Generator:

@@ -149,6 +149,11 @@ _ALL = [
          "or the OOC manager's evictable index or byte total disagrees "
          "with a from-scratch recount — a block transition bypassed the "
          "callbacks that keep them current"),
+    Rule("SAN210", Severity.ERROR, "fluid-class-index-drift",
+         "the fluid network's flow-class index disagrees with its active "
+         "flows: a flow outside the class of its (links, weight, max_rate), "
+         "a link whose classes are not those of its flows, or a settled "
+         "member rate that differs from its class rate"),
     # -- placement-state model checker (repro.race.model_checker) ------------
     Rule("REP200", Severity.ERROR, "raw-state-assignment",
          "a BlockState is assigned directly to .state outside DataBlock — "

@@ -26,7 +26,12 @@ sanitizer is an opt-in observer over the instrumented hook points in
 * **incremental bookkeeping drift** — a task's missing-byte counter, a
   PE's wait-queue total, or the manager's evictable index and byte total
   disagreeing with a from-scratch recount (SAN209; checked after every
-  task completion and in :meth:`SimSanitizer.check_now`).
+  task completion and in :meth:`SimSanitizer.check_now`);
+* **fluid class-index drift** — the fluid network's flow classes
+  disagreeing with its active flows: a flow outside the class of its
+  ``(links, weight, max_rate)``, a link whose classes are not those of its
+  flows, or a settled member rate differing from its class rate (SAN210;
+  checked with SAN209).
 
 Usage::
 
@@ -57,6 +62,7 @@ if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.mem.allocator import Allocation, Allocator
     from repro.mem.block import DataBlock
     from repro.mem.device import MemoryDevice
+    from repro.sim.fluid import FluidNetwork
 
 __all__ = ["SimSanitizer"]
 
@@ -309,14 +315,58 @@ class SimSanitizer:
                 counted=mgr.evictable_bytes, recounted=truth)
         return len(self.violations) - before
 
+    def check_fluid(self, network: "FluidNetwork") -> int:
+        """SAN210: recount the fluid network's flow-class index.
+
+        Every active flow must sit in exactly one class, the one keyed by
+        its ``(links, weight, max_rate)``; each link's classes must be the
+        classes of its flows; and with no re-solve pending, every member's
+        rate must equal its class rate.  Returns the number of new
+        violations.
+        """
+        before = len(self.violations)
+        active = network._flows
+        classes = network._classes
+        outside = [flow.fid for flow in active
+                   if classes.get((flow.links, flow.weight, flow.max_rate))
+                   is not flow.cls or flow not in flow.cls.members]
+        stray = [flow.fid for cls in classes.values()
+                 for flow in cls.members
+                 if flow not in active or flow.cls is not cls]
+        empty = sum(1 for cls in classes.values() if not cls.members)
+        if outside or stray or empty:
+            self._report(
+                "SAN210",
+                f"fluid class index drifted: {len(outside)} active flow(s) "
+                f"outside their class, {len(stray)} stray member(s), "
+                f"{empty} empty class(es)",
+                outside=outside[:8], stray=stray[:8])
+        links = [link.name for link in network.links
+                 if set(link.classes) != {flow.cls for flow in link.flows}]
+        if links:
+            self._report(
+                "SAN210",
+                f"{len(links)} link(s) list classes other than those of "
+                "their flows", links=links[:8])
+        if not network._dirty:
+            off = [flow.fid for cls in classes.values()
+                   for flow in cls.members if flow._rate != cls.rate]
+            if off:
+                self._report(
+                    "SAN210",
+                    f"{len(off)} settled flow rate(s) differ from their "
+                    "class rate", flows=off[:8])
+        return len(self.violations) - before
+
     def check_now(self, manager: "OOCManager | None" = None) -> int:
-        """Capacity-conservation and bookkeeping sweep; returns new
-        violation count."""
+        """Capacity-conservation, bookkeeping and fluid-class sweep;
+        returns new violation count."""
         mgr = manager or self.manager
         if mgr is None:
             return 0
         before = len(self.violations)
         self.check_bookkeeping(mgr)
+        self.check_fluid(mgr.machine.network)
         per_device: dict[str, int] = {}
         for block in mgr.registry:
             if block.allocation is not None and block.allocation.live \

@@ -15,35 +15,32 @@ The model is event-driven: whenever the flow set changes, every affected
 flow's progress is advanced at its old rate, rates are recomputed, and the
 next completion is scheduled.
 
+Active flows with identical ``(links, weight, max_rate)`` form a *flow
+class*; max-min fairness gives all its members the same rate.  The apps'
+components hold tens of flows in a few classes, so the network keeps the
+classes incrementally (``start_flow`` and ``_detach``) and solves on them.
+
 Two solvers are available (``solver=`` constructor flag):
 
 * ``"incremental"`` (default) — flow arrivals/departures mark their links
   *dirty*; the recompute is deferred to a flush event at the same simulated
   timestamp, so any number of same-instant changes (64 movers starting at
-  once, a whole wave completing together) cost **one** solve.  The solve
-  itself is restricted to the connected component of the flow↔link graph
-  reachable from the dirty links — flows on untouched components keep
-  their rates, which is exact because max-min allocations decompose per
-  component.  Rates are never stale from the outside: reading
-  ``Flow.rate`` / ``Link.utilization`` / ``snapshot()`` settles any pending
-  recompute first, and no simulated time can pass while links are dirty
-  (the flush is scheduled at the current instant).
+  once, a whole wave completing together) cost **one** solve, restricted
+  to the class↔link component reachable from the dirty links (exact:
+  max-min allocations decompose per component).  The class kernel is
+  bit-identical to the per-flow kernel whenever the component's flows
+  share one weight and no capped batch mixes unequal caps; other shapes
+  run the per-flow kernel (``fallback_solves``).  A memo keyed by the
+  component's class structure replays earlier solves.  Rates are never
+  stale from the outside: reading ``Flow.rate`` / ``Link.utilization`` /
+  ``snapshot()`` settles any pending recompute first, and no simulated
+  time can pass while links are dirty (the flush is at the current
+  instant).
 
 * ``"full"`` — the original eager solver: every change recomputes every
-  flow on every link immediately.  Kept as the cross-check oracle; the
-  other solvers must produce identical simulated timelines.
-
-* ``"vectorized"`` — incremental scheduling with a numpy progressive-
-  filling kernel for large components: flows are array columns, links are
-  rows, and each filling round computes the bottleneck share, the capped
-  set and the saturated set as masked array reductions instead of python
-  loops.  The freeze *order* and the per-link residual subtraction order
-  replicate the scalar kernel exactly, so the computed rates are
-  bit-identical to ``"incremental"`` — only the per-round share/mask
-  arithmetic is vectorized (reductions over IEEE doubles are exact and
-  order-independent for min/max and elementwise compare).  Small
-  components fall back to the scalar kernel, which is identical by
-  construction.
+  flow on every link immediately with the per-flow kernel, unmemoized.
+  Kept as the cross-check oracle; the incremental solver must produce
+  identical simulated timelines.
 
 The epsilon/wake contract: a flow whose ``remaining`` falls to
 ``_EPSILON_BYTES`` or below — or whose ETA is too small for the event
@@ -62,16 +59,12 @@ import math
 import os
 import typing as _t
 from itertools import count
+from operator import attrgetter
 from time import perf_counter as _perf_counter
 
 from repro.errors import SimulationError
 from repro.sim.environment import Environment
 from repro.sim.events import Event
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a project dependency
-    _np = None
 
 __all__ = ["Link", "Flow", "FluidNetwork", "SOLVERS", "default_solver"]
 
@@ -81,14 +74,12 @@ __all__ = ["Link", "Flow", "FluidNetwork", "SOLVERS", "default_solver"]
 #: sweep and _schedule_wake's force-completion all compare against it.
 _EPSILON_BYTES = 1e-3
 
+_remaining = attrgetter("remaining")
+
 #: recognised ``FluidNetwork(solver=...)`` values
-SOLVERS = ("incremental", "full", "vectorized")
+SOLVERS = ("incremental", "full")
 
-#: below this flows*links size the vectorized solver uses the scalar
-#: kernel — numpy array setup costs more than it saves on tiny components
-_VEC_MIN_CELLS = 32
-
-#: flow-set-signature memo bound (entries); FIFO eviction.  Steady-state
+#: class-structure memo bound (entries); FIFO eviction.  Steady-state
 #: applications cycle through a handful of phase configurations, so a few
 #: hundred entries cover every realistic phase alphabet while bounding
 #: worst-case memory on adversarial workloads.
@@ -107,8 +98,7 @@ def default_memo() -> bool:
 def default_solver() -> str:
     """The solver used when ``FluidNetwork(solver=None)``.
 
-    Reads ``$REPRO_SOLVER`` (CI runs the tier-1 suite once with
-    ``REPRO_SOLVER=vectorized``), defaulting to ``"incremental"``.  The
+    Reads ``$REPRO_SOLVER``, defaulting to ``"incremental"``.  The
     exec-engine result cache folds this into its code fingerprint, so
     flipping the variable can never serve stale cached tables.
     """
@@ -122,7 +112,7 @@ def default_solver() -> str:
 class Link:
     """A capacity-limited pipe, e.g. the read port of a memory device."""
 
-    __slots__ = ("name", "capacity", "flows", "uid", "network")
+    __slots__ = ("name", "capacity", "flows", "classes", "uid", "network")
 
     def __init__(self, name: str, capacity: float, *, uid: int = 0,
                  network: "FluidNetwork | None" = None):
@@ -134,6 +124,8 @@ class Link:
         #: active flows crossing this link, as an insertion-ordered set
         #: (dict keys) so solver iteration order is deterministic
         self.flows: dict["Flow", None] = {}
+        #: flow classes of those flows, insertion-ordered
+        self.classes: dict["_FlowClass", None] = {}
         #: creation index, for deterministic dirty-set ordering
         self.uid = uid
         self.network = network
@@ -159,7 +151,8 @@ class Flow:
     """
 
     __slots__ = ("fid", "links", "remaining", "total", "weight", "max_rate",
-                 "_rate", "done", "started_at", "finished_at", "network")
+                 "_rate", "cls", "done", "started_at", "finished_at",
+                 "network")
 
     def __init__(self, fid: int, links: tuple[Link, ...], nbytes: float,
                  weight: float, max_rate: float, done: Event, now: float,
@@ -171,6 +164,8 @@ class Flow:
         self.weight = float(weight)
         self.max_rate = float(max_rate)
         self._rate = 0.0
+        #: the flow class this flow joins while active
+        self.cls: "_FlowClass | None" = None
         self.done = done
         self.started_at = now
         self.finished_at: float | None = None
@@ -194,6 +189,50 @@ class Flow:
                 f"@{self._rate:g}B/s>")
 
 
+class _FlowClass:
+    """The active flows sharing one ``(links, weight, max_rate)``.
+
+    Every member always gets the same max-min rate, so ``rate`` is solved
+    and integrated once per class.
+    """
+
+    __slots__ = ("key", "links", "weight", "max_rate", "members", "rate")
+
+    def __init__(self, key: tuple[tuple[Link, ...], float, float]):
+        self.key = key
+        self.links, self.weight, self.max_rate = key
+        #: member flows, insertion-ordered
+        self.members: dict[Flow, None] = {}
+        self.rate = 0.0
+
+    def __repr__(self) -> str:
+        links = "+".join(l.name for l in self.links)
+        return (f"<FlowClass {links} w={self.weight:g} cap={self.max_rate:g} "
+                f"x{len(self.members)} @{self.rate:g}B/s>")
+
+
+def _closure(dirty: _t.Iterable[Link], attr: str) -> tuple[dict, dict]:
+    """Component closure from ``dirty`` over links and their ``attr`` items.
+
+    ``attr`` is ``"classes"`` (the incremental solve) or ``"flows"`` (the
+    per-flow fallback, which must see flows in this exact walk order).
+    Items outside the closure share no links with it, directly or
+    transitively, so their max-min rates are unaffected.
+    """
+    items: dict = {}
+    stack = sorted(dirty, key=lambda l: l.uid)
+    comp_links = dict.fromkeys(stack)
+    while stack:
+        for item in getattr(stack.pop(), attr):
+            if item not in items:
+                items[item] = None
+                for other in item.links:
+                    if other not in comp_links:
+                        comp_links[other] = None
+                        stack.append(other)
+    return items, comp_links
+
+
 class FluidNetwork:
     """The set of links plus the progressive-filling rate solver."""
 
@@ -208,13 +247,12 @@ class FluidNetwork:
             memo = default_memo()
         self.env = env
         self.solver = solver
-        # "vectorized" shares the incremental dirty/flush scheduling and
-        # swaps only the rate kernel, so its timelines match by construction
-        self._incremental = solver != "full"
-        self._vectorized = solver == "vectorized"
+        self._incremental = solver == "incremental"
         self._links: dict[str, Link] = {}
         #: active flows as an insertion-ordered set (dict keys)
         self._flows: dict[Flow, None] = {}
+        #: (links, weight, max_rate) -> the class of the active flows with it
+        self._classes: dict[tuple, _FlowClass] = {}
         self._fid = count()
         self._link_uid = count()
         self._last_advance = env.now
@@ -231,18 +269,19 @@ class FluidNetwork:
         self.completed_flows = 0
         #: rate-kernel invocations (memo hits do NOT count: no kernel ran)
         self.solves = 0
-        #: wall-clock seconds spent inside _solve (kernel + memo machinery)
+        #: incremental solves whose shape needed the per-flow kernel
+        self.fallback_solves = 0
+        #: wall-clock seconds spent solving (kernel + memo machinery)
         self.solve_wall_s = 0.0
-        # Flow-set-signature memo (incremental/vectorized only; the full
-        # solver stays the unmemoized oracle).  Max-min rates depend only
-        # on the component's *structure* — link capacities, per-flow
-        # (weight, max_rate, link incidence) and the per-link membership
-        # order the freeze loops walk — never on remaining bytes, so
-        # identical configurations can replay the cached rate vector.
-        # Content keying subsumes invalidation: any topology or demand
-        # mutation (capacity, weight, max_rate, membership) changes the
-        # signature and simply misses.
-        self._memo_enabled = bool(memo) and solver != "full"
+        # Class-structure memo (incremental only; the full solver stays
+        # the unmemoized oracle).  The class kernel's rates depend only on
+        # the component's *structure* — link capacities and per-class
+        # (link incidence, weight, max_rate, member count) — never on
+        # remaining bytes or membership order, so identical configurations
+        # replay the cached per-class rates.  Content keying subsumes
+        # invalidation: any topology or demand mutation changes the key
+        # and simply misses.
+        self._memo_enabled = bool(memo) and solver == "incremental"
         self._memo: dict[tuple, tuple[float, ...]] = {}
         self.memo_hits = 0
         self.memo_misses = 0
@@ -298,6 +337,14 @@ class FluidNetwork:
         self._flows[flow] = None
         for link in resolved:
             link.flows[flow] = None
+        key = (resolved, flow.weight, flow.max_rate)
+        cls = self._classes.get(key)
+        if cls is None:
+            cls = self._classes[key] = _FlowClass(key)
+            for link in resolved:
+                link.classes[cls] = None
+        cls.members[flow] = None
+        flow.cls = cls
         if self._incremental:
             self._mark_dirty(resolved)
         else:
@@ -336,6 +383,12 @@ class FluidNetwork:
         self._flows.pop(flow, None)
         for link in flow.links:
             link.flows.pop(flow, None)
+        cls = flow.cls
+        cls.members.pop(flow, None)
+        if not cls.members:
+            del self._classes[cls.key]
+            for link in cls.links:
+                link.classes.pop(cls, None)
 
     def _advance(self) -> None:
         """Integrate progress since the last rate change; finish flows."""
@@ -351,11 +404,15 @@ class FluidNetwork:
                 "fluid rates were stale across a time step (dirty links "
                 "survived past their flush instant)")
         finished: list[Flow] = []
-        for flow in self._flows:
-            flow.remaining -= flow._rate * dt
-            if flow.remaining <= _EPSILON_BYTES:
-                flow.remaining = 0.0
-                finished.append(flow)
+        for cls in self._classes.values():
+            # every member ran at cls.rate: the same product per flow
+            d = cls.rate * dt
+            for flow in cls.members:
+                remaining = flow.remaining - d
+                if remaining <= _EPSILON_BYTES:
+                    remaining = 0.0
+                    finished.append(flow)
+                flow.remaining = remaining
         if not finished:
             return
         touched: list[Link] = []
@@ -414,111 +471,164 @@ class FluidNetwork:
     def _ensure_current(self) -> None:
         """Solve the components touched by dirty links; re-arm the wake."""
         dirty, self._dirty = self._dirty, set()
-        # Connected-component closure over the flow<->link bipartite graph.
-        # Flows outside the closure share no links with it (directly or
-        # transitively), so their max-min rates are unaffected.
-        comp_flows: dict[Flow, None] = {}
-        comp_links: dict[Link, None] = {}
-        stack = sorted(dirty, key=lambda l: l.uid)
-        for link in stack:
-            comp_links[link] = None
-        while stack:
-            link = stack.pop()
-            for flow in link.flows:
-                if flow not in comp_flows:
-                    comp_flows[flow] = None
-                    for other in flow.links:
-                        if other not in comp_links:
-                            comp_links[other] = None
-                            stack.append(other)
-        if comp_flows:
-            self._solve(comp_flows, comp_links)
+        classes, links = _closure(dirty, "classes")
+        if classes:
+            self._solve(classes, links, dirty)
         self._schedule_wake()
 
     # -- the max-min solve -----------------------------------------------------
 
-    def _signature(self, flows_l: list[Flow],
-                   links_l: list[Link]) -> tuple:
-        """Canonical content key of a solve's component.
+    def _solve(self, classes: dict[_FlowClass, None],
+               links: dict[Link, None], dirty: set[Link]) -> None:
+        """Publish max-min rates for classes closed over ``links``.
 
-        Captures everything the rate kernels read, in the exact iteration
-        order they read it: link capacities (in ``links`` order), per-flow
-        ``(weight, max_rate, link indices)`` (in ``flows`` order) and each
-        link's membership as flow indices (in ``link.flows`` insertion
-        order — the freeze loops walk that order, and float subtraction
-        order shapes the low bits of the computed rates).  Two isomorphic
-        configurations therefore share one entry, and the replayed vector
-        is bit-identical to what the kernel would recompute.
-        """
-        # One flat tuple instead of nested per-flow tuples: this runs on
-        # every solve request (hit or miss), and the flat encoding halves
-        # the allocation + hash-dispatch cost.  The two count prefixes and
-        # the -1 row terminators make the encoding parseable left-to-right
-        # (no field can be -1: capacities/weights > 0, max_rate/indices
-        # >= 0), hence injective over configurations.
-        parts: list = [len(links_l), len(flows_l)]
-        append = parts.append
-        link_idx = {}
-        for j, link in enumerate(links_l):
-            link_idx[id(link)] = j
-            append(link.capacity)
-        flow_idx = {}
-        for i, f in enumerate(flows_l):
-            flow_idx[id(f)] = i
-            append(f.weight)
-            append(f.max_rate)
-            for l in f.links:
-                append(link_idx[id(l)])
-            append(-1)
-        for link in links_l:
-            for f in link.flows:
-                append(flow_idx[id(f)])
-            append(-1)
-        return tuple(parts)
-
-    def _solve(self, flows: _t.Iterable[Flow], links: _t.Iterable[Link]) -> None:
-        """Weighted max-min fair allocation via progressive filling.
-
-        ``flows`` must be closed over ``links``: every flow crossing a link
-        in ``links`` is in ``flows`` and vice versa.  Each flow's personal
-        ``max_rate`` is honoured by treating it as a candidate bottleneck
-        alongside its links.
+        Memo hit, class kernel, or — for the shapes the class kernel cannot
+        reproduce bit for bit — the per-flow kernel over the same component,
+        walked flow by flow from ``dirty``.
         """
         t0 = _perf_counter()
+        key = None
         if self._memo_enabled:
-            flows_l = list(flows)
-            links_l = list(links)
-            key = self._signature(flows_l, links_l)
-            memo = self._memo
-            rates = memo.get(key)
+            key = self._memo_key(classes, links)
+            rates = self._memo.get(key)
             if rates is not None:
                 self.memo_hits += 1
-                for f, r in zip(flows_l, rates):
-                    f._rate = r
+                for cls, rate in zip(classes, rates):
+                    cls.rate = rate
+                self._publish(classes)
                 self.solve_wall_s += _perf_counter() - t0
                 return
             self.memo_misses += 1
-            self._dispatch_solve(flows_l, links_l)
-            if len(memo) >= _MEMO_MAX:
-                del memo[next(iter(memo))]  # FIFO: oldest insertion first
-            memo[key] = tuple(f._rate for f in flows_l)
-            self.solve_wall_s += _perf_counter() - t0
-            return
-        self._dispatch_solve(flows, links)
+        self.solves += 1
+        if self._solve_classes(classes, links):
+            self._publish(classes)
+            if key is not None:
+                memo = self._memo
+                if len(memo) >= _MEMO_MAX:
+                    del memo[next(iter(memo))]  # FIFO: oldest insertion first
+                memo[key] = tuple([cls.rate for cls in classes])
+        else:
+            self.fallback_solves += 1
+            self._solve_scalar(*_closure(dirty, "flows"))
+            self._rates_from_members(classes)
         self.solve_wall_s += _perf_counter() - t0
 
-    def _dispatch_solve(self, flows: _t.Iterable[Flow],
-                        links: _t.Iterable[Link]) -> None:
-        """Run the configured rate kernel (counted as one solve)."""
-        self.solves += 1
-        if self._vectorized and _np is not None:
-            flows_l = list(flows)
-            if len(flows_l) > 1:
-                links_l = list(links)
-                if len(flows_l) * len(links_l) >= _VEC_MIN_CELLS:
-                    self._solve_vectorized(flows_l, links_l)
-                    return
-        self._solve_scalar(flows, links)
+    @staticmethod
+    def _memo_key(classes: dict[_FlowClass, None],
+                  links: dict[Link, None]) -> tuple:
+        """Canonical content key of a component's class structure.
+
+        Everything the class kernel reads: link capacities (``links``
+        order) and per class its link indices, weight, max_rate and member
+        count (``classes`` order).  Membership order is not read, so
+        isomorphic configurations share one entry.  Count prefixes (links,
+        then per class its links) make the flat tuple parse left-to-right,
+        hence injective over configurations.
+        """
+        index: dict[Link, int] = {}
+        parts: list = [len(links)]
+        append = parts.append
+        for j, link in enumerate(links):
+            index[link] = j
+            append(link.capacity)
+        for cls in classes:
+            append(len(cls.links))
+            for link in cls.links:
+                append(index[link])
+            append(cls.weight)
+            append(cls.max_rate)
+            append(len(cls.members))
+        return tuple(parts)
+
+    @staticmethod
+    def _publish(classes: _t.Iterable[_FlowClass]) -> None:
+        """Copy each class rate to its members' ``_rate``."""
+        for cls in classes:
+            rate = cls.rate
+            for flow in cls.members:
+                flow._rate = rate
+
+    @staticmethod
+    def _rates_from_members(classes: _t.Iterable[_FlowClass]) -> None:
+        """Set class rates after a per-flow solve (members agree)."""
+        for cls in classes:
+            cls.rate = next(iter(cls.members))._rate
+
+    @staticmethod
+    def _solve_classes(classes: dict[_FlowClass, None],
+                       links: dict[Link, None]) -> bool:
+        """Progressive filling over flow classes; False if it cannot be exact.
+
+        Mirrors :meth:`_solve_scalar` round for round with a class standing
+        for its members: a frozen class subtracts its rate and weight from
+        each of its links once per member, one at a time.  When every flow
+        has the same weight and no capped batch mixes unequal ``max_rate``
+        values, every subtraction from one link within a round is the same
+        float, so the order the per-flow kernel would take cannot change a
+        bit, and the rates are identical.  Any other shape returns False
+        before publishing (the caller runs the per-flow kernel).
+        """
+        weight = next(iter(classes)).weight
+        if any(cls.weight != weight for cls in classes):
+            return False
+        unfrozen = dict.fromkeys(classes)
+        residual = {link: link.capacity for link in links}
+        # the per-flow kernel's sum over link.flows, term for term
+        live_weight = {link: sum([weight] * len(link.flows))
+                       for link in residual}
+        weight_floor = 1e-9 * weight
+
+        def freeze(cls: _FlowClass, rate: float) -> None:
+            cls.rate = rate
+            del unfrozen[cls]
+            n = len(cls.members)
+            for link in cls.links:
+                r = residual[link]
+                w = live_weight[link]
+                for _ in range(n):
+                    r -= rate
+                    w -= weight
+                residual[link] = r
+                live_weight[link] = w
+
+        while unfrozen:
+            bottleneck_share = math.inf
+            for link, cap in residual.items():
+                w = live_weight[link]
+                if w > weight_floor:
+                    bottleneck_share = min(bottleneck_share,
+                                           max(cap, 0.0) / w)
+            capped = [c for c in unfrozen
+                      if c.max_rate < bottleneck_share * c.weight]
+            if capped:
+                tightest = min(c.max_rate / c.weight for c in capped)
+                batch = [c for c in capped
+                         if c.max_rate / c.weight <= tightest * (1 + 1e-12)]
+                rate = batch[0].max_rate
+                if any(cls.max_rate != rate for cls in batch):
+                    return False
+                for cls in batch:
+                    freeze(cls, rate)
+                continue
+            if not math.isfinite(bottleneck_share):
+                for cls in unfrozen:
+                    cls.rate = cls.max_rate if math.isfinite(cls.max_rate) else 0.0
+                break
+            saturated = [link for link, cap in residual.items()
+                         if live_weight[link] > weight_floor
+                         and max(cap, 0.0) / live_weight[link]
+                         <= bottleneck_share * (1 + 1e-12) + 1e-18]
+            rate = bottleneck_share * weight
+            froze_any = False
+            for link in saturated:
+                for cls in [c for c in link.classes if c in unfrozen]:
+                    freeze(cls, rate)
+                    froze_any = True
+            if not froze_any:  # pragma: no cover - numeric safety valve
+                for cls in unfrozen:
+                    cls.rate = rate
+                break
+        return True
 
     def _solve_scalar(self, flows: _t.Iterable[Flow],
                       links: _t.Iterable[Link]) -> None:
@@ -597,110 +707,15 @@ class FluidNetwork:
                     flow._rate = bottleneck_share * flow.weight
                 break
 
-    def _solve_vectorized(self, flows_l: list[Flow],
-                          links_l: list[Link]) -> None:
-        """Progressive filling with the per-round reductions as numpy ops.
-
-        Flows are array columns, links are rows.  Each round the bottleneck
-        share, the capped-flow mask and the saturated-link mask come out of
-        masked array arithmetic; freezing still walks the matched flows in
-        the scalar kernel's exact order, subtracting each frozen flow from
-        its links one at a time, so every float in ``residual`` /
-        ``live_weight`` sees the same operation sequence as the scalar
-        kernel and the resulting rates are bit-identical.  (Elementwise
-        divides/multiplies over IEEE doubles match python float ops
-        exactly, and min reductions are exact regardless of order; only
-        *accumulation* order matters, which is why the subtractions stay
-        sequential per flow.)
-        """
-        np = _np
-        m = len(links_l)
-        link_idx = {link: j for j, link in enumerate(links_l)}
-        flow_idx = {f: i for i, f in enumerate(flows_l)}
-        weights = [f.weight for f in flows_l]
-        caps_v = np.array([f.max_rate for f in flows_l])
-        weights_v = np.array(weights)
-        # cap/weight ratios: each is the same lone IEEE division the scalar
-        # kernel performs on demand, so precomputing cannot change bits
-        with np.errstate(invalid="ignore"):  # inf/inf -> nan, never selected
-            ratios_v = caps_v / weights_v
-        cols = [[link_idx[link] for link in f.links] for f in flows_l]
-        residual = np.array([link.capacity for link in links_l])
-        live_weight = np.empty(m)
-        for j, link in enumerate(links_l):
-            acc = 0.0  # same left-to-right accumulation as the scalar sum()
-            for f in link.flows:
-                acc += f.weight
-            live_weight[j] = acc
-        for f in flows_l:
-            f._rate = 0.0
-        weight_floor = 1e-9 * max(weights)
-        unfrozen = np.ones(len(flows_l), dtype=bool)
-        n_left = len(flows_l)
-
-        with np.errstate(divide="ignore"):
-            while n_left:
-                active = live_weight > weight_floor
-                shares = np.full(m, math.inf)
-                np.divide(np.maximum(residual, 0.0), live_weight,
-                          out=shares, where=active)
-                bottleneck_share = float(shares.min())
-                capped_m = unfrozen & (caps_v < bottleneck_share * weights_v)
-                if capped_m.any():
-                    tightest = float(ratios_v[capped_m].min())
-                    batch_m = capped_m & (ratios_v <= tightest * (1 + 1e-12))
-                    # nonzero() ascends = flows_l order = the scalar
-                    # kernel's insertion-ordered unfrozen iteration
-                    for i in np.nonzero(batch_m)[0]:
-                        f = flows_l[i]
-                        rate = f.max_rate
-                        f._rate = rate
-                        w = f.weight
-                        for j in cols[i]:
-                            residual[j] -= rate
-                            live_weight[j] -= w
-                    unfrozen &= ~batch_m
-                    n_left = int(unfrozen.sum())
-                    continue
-                if not math.isfinite(bottleneck_share):
-                    for i in np.nonzero(unfrozen)[0]:
-                        f = flows_l[i]
-                        f._rate = (f.max_rate if math.isfinite(f.max_rate)
-                                   else 0.0)
-                    break
-                # shares is still current: nothing froze since it was
-                # computed, exactly like the scalar kernel's re-division
-                sat_m = active & (
-                    shares <= bottleneck_share * (1 + 1e-12) + 1e-18)
-                froze_any = False
-                # link-major freeze order over ascending link rows matches
-                # the scalar walk over residual's insertion order; within a
-                # link, flows freeze in link.flows insertion order
-                for j in np.nonzero(sat_m)[0]:
-                    for f in links_l[j].flows:
-                        i = flow_idx[f]
-                        if not unfrozen[i]:
-                            continue
-                        rate = bottleneck_share * f.weight
-                        f._rate = rate
-                        unfrozen[i] = False
-                        froze_any = True
-                        w = f.weight
-                        for jj in cols[i]:
-                            residual[jj] -= rate
-                            live_weight[jj] -= w
-                if not froze_any:  # pragma: no cover - numeric safety valve
-                    for i in np.nonzero(unfrozen)[0]:
-                        f = flows_l[i]
-                        f._rate = bottleneck_share * f.weight
-                    break
-                n_left = int(unfrozen.sum())
-
     # -- completion scheduling --------------------------------------------------
 
     def _recompute_and_reschedule(self) -> None:
         """Eager (``solver="full"``) path: solve everything, re-arm the wake."""
-        self._solve(self._flows, self._links.values())
+        t0 = _perf_counter()
+        self.solves += 1
+        self._solve_scalar(self._flows, self._links.values())
+        self._rates_from_members(self._classes.values())
+        self.solve_wall_s += _perf_counter() - t0
         self._schedule_wake()
 
     def _schedule_wake(self) -> None:
@@ -722,10 +737,21 @@ class FluidNetwork:
             self.env.cancel(self._wake_entry)
             self._wake_entry = None
         now = self.env.now
-        finished = [flow for flow in self._flows
-                    if flow.remaining <= _EPSILON_BYTES
-                    or (flow._rate > 0.0
-                        and now + flow.remaining / flow._rate <= now)]
+        finished: list[Flow] = []
+        horizon = math.inf
+        for cls in self._classes.values():
+            # the ETA is monotone in remaining bytes, so the class member
+            # with the fewest decides the horizon and whether any member
+            # must force-complete
+            rate = cls.rate
+            least = min(map(_remaining, cls.members))
+            if least <= _EPSILON_BYTES or (rate > 0.0
+                                           and now + least / rate <= now):
+                finished.extend([
+                    f for f in cls.members if f.remaining <= _EPSILON_BYTES
+                    or (rate > 0.0 and now + f.remaining / rate <= now)])
+            elif rate > 0.0 and least / rate < horizon:
+                horizon = least / rate
         if finished:
             touched: list[Link] = []
             for flow in sorted(finished, key=lambda f: f.fid):
@@ -738,12 +764,6 @@ class FluidNetwork:
             else:
                 self._recompute_and_reschedule()
             return
-        horizon = math.inf
-        for flow in self._flows:
-            if flow._rate > 0.0:
-                candidate = flow.remaining / flow._rate
-                if candidate < horizon:
-                    horizon = candidate
         if not math.isfinite(horizon):
             return
         wake = Event(self.env, name="fluid.wake")

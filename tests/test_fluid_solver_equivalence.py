@@ -1,9 +1,9 @@
-"""Three-solver equivalence oracle + the sim-core numeric bugfix tests.
+"""Solver equivalence oracle + the sim-core numeric bugfix tests.
 
-The ``"vectorized"`` solver must be *bit-identical* to ``"incremental"``
-(same scheduling, same kernel arithmetic, different execution engine) and
-timeline-equivalent to the ``"full"`` oracle.  Alongside, regression
-tests for the three PR bugfixes, each of which fails on the pre-fix code:
+The ``"incremental"`` solver (class kernel, per-flow fallback, memo) must
+be timeline-equivalent to the eager ``"full"`` oracle, and on these
+scenarios bit-identical to it.  Alongside, regression tests for three
+sim-core bugfixes, each of which fails on the pre-fix code:
 
 * sub-epsilon remainders force-complete at the wake instant instead of
   being rescheduled (no late ``finished_at``, no zero-progress loop);
@@ -25,7 +25,7 @@ import pytest
 from repro.errors import SimulationError
 from repro.sim.environment import Environment
 from repro.sim.events import Event
-from repro.sim.fluid import (_EPSILON_BYTES, _VEC_MIN_CELLS, SOLVERS,
+from repro.sim.fluid import (_EPSILON_BYTES, SOLVERS,
                              FluidNetwork, default_solver)
 
 ALL_SOLVERS = list(SOLVERS)
@@ -99,16 +99,16 @@ SCENARIOS = [_waves_private_lanes, _shared_bottleneck_capped,
 class TestSolverEquivalence:
     @pytest.mark.parametrize("scenario", SCENARIOS,
                              ids=lambda s: s.__name__.lstrip("_"))
-    def test_vectorized_bitwise_matches_incremental(self, scenario):
+    def test_incremental_bitwise_matches_full(self, scenario):
         inc = _run_scenario("incremental", scenario)
-        vec = _run_scenario("vectorized", scenario)
-        # exact float equality, not approx: the numpy kernel replicates
-        # the scalar kernel's operation order
-        assert vec == inc
+        full = _run_scenario("full", scenario)
+        # exact float equality, not approx: these scenarios' solves are
+        # single components, where both solvers do the same arithmetic
+        assert inc == full
 
     @pytest.mark.parametrize("scenario", SCENARIOS,
                              ids=lambda s: s.__name__.lstrip("_"))
-    @pytest.mark.parametrize("solver", ["incremental", "vectorized"])
+    @pytest.mark.parametrize("solver", ["incremental"])
     def test_all_solvers_match_full_oracle(self, scenario, solver):
         oracle = _run_scenario("full", scenario)
         got = _run_scenario(solver, scenario)
@@ -116,21 +116,15 @@ class TestSolverEquivalence:
         for fid, finished_at in got.items():
             assert finished_at == pytest.approx(oracle[fid], rel=1e-9), fid
 
-    def test_vectorized_path_actually_engages(self):
-        """The big scenarios must cross the numpy-kernel size threshold."""
-        env = Environment()
-        net = FluidNetwork(env, solver="vectorized")
-        flows = _shared_bottleneck_capped(env, net)
-        links = {link for f in flows for link in f.links}
-        assert len(flows) * len(links) >= _VEC_MIN_CELLS
-        assert net._vectorized
-
     def test_default_solver_reads_env(self, monkeypatch):
         monkeypatch.delenv("REPRO_SOLVER", raising=False)
         assert default_solver() == "incremental"
+        monkeypatch.setenv("REPRO_SOLVER", "full")
+        assert default_solver() == "full"
+        assert FluidNetwork(Environment()).solver == "full"
         monkeypatch.setenv("REPRO_SOLVER", "vectorized")
-        assert default_solver() == "vectorized"
-        assert FluidNetwork(Environment()).solver == "vectorized"
+        with pytest.raises(SimulationError, match="REPRO_SOLVER"):
+            default_solver()
         monkeypatch.setenv("REPRO_SOLVER", "bogus")
         with pytest.raises(SimulationError, match="REPRO_SOLVER"):
             default_solver()
@@ -285,13 +279,13 @@ class TestTombstoneCompaction:
 
 
 class TestFigureByteIdentity:
-    """Vectorized and incremental must emit byte-identical figure tables."""
+    """Memo on and off must emit byte-identical figure tables."""
 
     @staticmethod
-    def _table_bytes(plan_fn, monkeypatch, solver: str) -> str:
+    def _table_bytes(plan_fn, monkeypatch, memo: str) -> str:
         from repro.bench.harness import run_plan
 
-        monkeypatch.setenv("REPRO_SOLVER", solver)
+        monkeypatch.setenv("REPRO_SOLVER_MEMO", memo)
         result = run_plan(plan_fn())
         return json.dumps(dataclasses.asdict(result), sort_keys=True)
 
@@ -301,9 +295,9 @@ class TestFigureByteIdentity:
         def plan():
             return fig2_plan(Scale.TINY, iterations=2)
 
-        inc = self._table_bytes(plan, monkeypatch, "incremental")
-        vec = self._table_bytes(plan, monkeypatch, "vectorized")
-        assert vec == inc
+        memo_on = self._table_bytes(plan, monkeypatch, "1")
+        memo_off = self._table_bytes(plan, monkeypatch, "0")
+        assert memo_on == memo_off
 
     def test_fig8_table_identical(self, monkeypatch):
         from repro.bench.experiments import Scale, fig8_plan
@@ -311,9 +305,9 @@ class TestFigureByteIdentity:
         def plan():
             return fig8_plan(Scale.TINY, iterations=2, reduced_ws_gb=(4,))
 
-        inc = self._table_bytes(plan, monkeypatch, "incremental")
-        vec = self._table_bytes(plan, monkeypatch, "vectorized")
-        assert vec == inc
+        memo_on = self._table_bytes(plan, monkeypatch, "1")
+        memo_off = self._table_bytes(plan, monkeypatch, "0")
+        assert memo_on == memo_off
 
     def test_fingerprint_differs_per_solver(self, monkeypatch):
         """The result cache must not mix generations across solvers."""
@@ -321,8 +315,8 @@ class TestFigureByteIdentity:
 
         monkeypatch.setenv("REPRO_SOLVER", "incremental")
         inc = code_fingerprint()
-        monkeypatch.setenv("REPRO_SOLVER", "vectorized")
-        vec = code_fingerprint()
-        assert inc != vec
+        monkeypatch.setenv("REPRO_SOLVER", "full")
+        full = code_fingerprint()
+        assert inc != full
         monkeypatch.setenv("REPRO_SOLVER", "incremental")
         assert code_fingerprint() == inc

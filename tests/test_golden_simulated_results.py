@@ -3,10 +3,16 @@
 Host-side refactors of the scheduling layers (bookkeeping, caches, loop
 structure) must leave the simulation bit-identical.  Each row pins, for
 one strategy, the makespan ``repr`` and the counts a schedule change
-would move: fetches, evictions, bytes moved, fluid solves and the HBM
-high-water mark.  The values were recorded before the strategy layer
-switched to incremental bookkeeping and must never be re-recorded to make
-a change pass — a difference here is a behaviour change.
+would move: fetches, evictions, bytes moved and the HBM high-water mark.
+The values were recorded before the strategy layer switched to
+incremental bookkeeping and must never be re-recorded to make a change
+pass — a difference here is a behaviour change.
+
+The fluid ``solves`` column is host work, not simulated behaviour: it
+counts rate-kernel runs, which the solver memo skips.  It is pinned as an
+upper bound only, since a coarser memo key (flow classes instead of
+per-flow signatures) legitimately replays more and solves less.  Every
+run must also stay on the exact class kernel (no per-flow fallbacks).
 
 ``hbm-only`` refuses working sets that overflow HBM, so it runs the same
 application on a machine whose HBM fits it (``HBM_FIT``).
@@ -25,8 +31,8 @@ HBM_FIT = 512 * MiB
 DDR = 1 * GiB
 CORES = 16
 
-#: strategy -> (makespan repr, fetches, evictions, bytes moved, solves,
-#: hbm_peak_used); 256 MiB stencil (2x HBM), 2 MiB blocks, 3 iterations
+#: strategy -> (makespan repr, fetches, evictions, bytes moved, solves
+#: upper bound, hbm_peak_used); 256 MiB stencil (2x HBM), 2 MiB blocks, 3 iterations
 STENCIL = {
     "naive": ('0.11410306880000001', 0, 0, 0, 2, 134217728),
     "ddr-only": ('0.16107927360000007', 0, 0, 0, 1, 0),
@@ -64,9 +70,18 @@ def _run(app: str, strategy: str) -> tuple:
             192 * MiB, block_dim=128)).run()
     summary = built.manager.summary()
     machine = built.runtime.machine
+    network = machine.network
+    assert network.fallback_solves == 0
     return (repr(result.total_time), summary["fetches"],
             summary["evictions"], machine.mover.bytes_moved,
-            machine.network.solves, summary["hbm_peak_used"])
+            network.solves, summary["hbm_peak_used"])
+
+
+def _check(app: str, strategy: str, golden: tuple) -> None:
+    got = _run(app, strategy)
+    simulated = got[:4] + got[5:]
+    assert simulated == golden[:4] + golden[5:]
+    assert got[4] <= golden[4], "more fluid kernel runs than recorded"
 
 
 def test_golden_tables_cover_every_strategy():
@@ -75,9 +90,9 @@ def test_golden_tables_cover_every_strategy():
 
 @pytest.mark.parametrize("strategy", sorted(STRATEGIES))
 def test_stencil_golden(strategy):
-    assert _run("stencil", strategy) == STENCIL[strategy]
+    _check("stencil", strategy, STENCIL[strategy])
 
 
 @pytest.mark.parametrize("strategy", sorted(STRATEGIES))
 def test_matmul_golden(strategy):
-    assert _run("matmul", strategy) == MATMUL[strategy]
+    _check("matmul", strategy, MATMUL[strategy])
