@@ -18,6 +18,11 @@ records the trajectory in ``BENCH_simcore.json`` (see
   the pure event-core hot path the fused kernel loop + handle-reuse pass
   targets; the recorded ``ops_per_s`` is the before/after number quoted
   in EXPERIMENTS.md.
+* ``run_until_churn`` — the same churn driven the way the apps drive a
+  simulation: the host injects each round's items, then runs
+  ``env.run(until=barrier)`` on a per-round barrier event.  This is the
+  kernel's stop-event exit (the ``run_until`` path); recorded as a median
+  over repeats, with no floor.
 * ``steady_phases`` — one phase configuration repeated ten times over a
   shared port pair.  The class-structure memo replays the cached rates
   for every phase after the first; the recorded speedup is
@@ -29,6 +34,9 @@ cannot rot.
 """
 
 from __future__ import annotations
+
+import statistics
+import time
 
 import pytest
 
@@ -125,8 +133,8 @@ def run_event_churn(*, pes: int = PES, rounds: int = 150) -> tuple[float, int]:
 
     Each of ``pes`` workers loops: blocking ``get`` from its store, a
     counted-resource acquire/release, and a tiny timeout — the per-message
-    skeleton of the runtime's PE loop.  ``reuse_handles=True`` matches the
-    runtime's own environment configuration: each worker's awaited events
+    skeleton of the runtime's PE loop.  ``reuse_handles=True`` (opt-in;
+    the apps' environments run without it): each worker's awaited events
     are recycled through its private handle instead of allocated fresh.
     Returns (simulated end time, total worker iterations).
     """
@@ -162,6 +170,62 @@ def run_event_churn(*, pes: int = PES, rounds: int = 150) -> tuple[float, int]:
     env.process(feeder(), name="feeder")
     env.run()
     return env.now, rounds * pes
+
+
+def run_until_churn(*, pes: int = PES, rounds: int = 150
+                    ) -> tuple[float, int]:
+    """:func:`run_event_churn` driven through per-round barriers.
+
+    Instead of a feeder process, the host puts each round's items and
+    then calls ``env.run(until=barrier)``; the last worker to finish the
+    round succeeds the barrier.  Same environment configuration and
+    worker loop (plus the barrier countdown) as the churn scenario.
+    Returns (simulated end time, total worker iterations).
+    """
+    env = Environment(reuse_handles=True)
+    stores = [Store(env, name=f"q{i}") for i in range(pes)]
+    res = Resource(env, capacity=32, name="slots")
+    #: [barrier event of the current round, workers still in the round]
+    round_state: list = [None, 0]
+
+    def worker(store: Store):
+        get, request = store.get, res.request
+        timeout, release = env.timeout, res.release
+        while True:
+            item = yield get()
+            if item is None:
+                return
+            yield request()
+            yield timeout(1e-6)
+            release()
+            round_state[1] -= 1
+            if not round_state[1]:
+                round_state[0].succeed(item)
+
+    for store in stores:
+        env.process(worker(store), name=f"w.{store.name}")
+    puts = [store.put for store in stores]
+    for r in range(rounds):
+        barrier = env.event("barrier")
+        round_state[:] = [barrier, pes]
+        for put in puts:
+            put(r)
+        assert env.run(until=barrier) == r
+    for put in puts:
+        put(None)
+    env.run()
+    return env.now, rounds * pes
+
+
+def median_wall_time(fn, *, repeats: int) -> tuple[float, object]:
+    """Median wall time of ``fn()`` over ``repeats`` runs, and its result."""
+    times = []
+    result = None
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        result = fn()
+        times.append(time.perf_counter() - t0)
+    return statistics.median(times), result
 
 
 def _measure(run_fn, solver: str) -> dict:
@@ -235,6 +299,16 @@ def test_simcore_regression() -> None:
         "sim_time_s": churn_sim,
     }
 
+    # the apps' path (run(until=event) per round); reported, not gated
+    until_elapsed, (until_sim, until_ops) = median_wall_time(
+        run_until_churn, repeats=15)
+    metrics["run_until_churn"] = {
+        "wall_s": until_elapsed,
+        "ops": until_ops,
+        "ops_per_s": until_ops / until_elapsed,
+        "sim_time_s": until_sim,
+    }
+
     path = write_bench("simcore", metrics)
     print(f"\nwrote {path}")
     for scenario, row in metrics.items():
@@ -291,3 +365,6 @@ if __name__ == "__main__":  # pragma: no cover - manual run convenience
     churn_w, (_, churn_ops) = best_wall_time(run_event_churn, repeats=5)
     print(f"event_churn: {churn_w*1e3:.1f}ms for {churn_ops} ops "
           f"({churn_ops/churn_w/1e3:.0f}k ops/s)", file=sys.stderr)
+    until_w, (_, until_ops) = median_wall_time(run_until_churn, repeats=5)
+    print(f"run_until_churn: {until_w*1e3:.1f}ms median for {until_ops} "
+          f"ops ({until_ops/until_w/1e3:.0f}k ops/s)", file=sys.stderr)

@@ -83,7 +83,7 @@ class MultiIOThreadStrategy(Strategy):
     def submit(self, pe: PE, task: OOCTask) -> _t.Generator:
         """Pre-processing is now trivial: enqueue and wake the local IO thread."""
         mgr = self._mgr()
-        yield from mgr.charge_queue_op(f"pe{pe.id}")
+        yield from mgr.charge_queue_op(pe.lane)
         pe.wait_enqueue(task)
         self.gates[pe.id].open()
 
@@ -94,7 +94,7 @@ class MultiIOThreadStrategy(Strategy):
             for victim in victims:
                 if victim.in_hbm and not victim.in_use and not victim.pinned:
                     yield from self.evict_block(
-                        victim, f"pe{pe.id}", TraceCategory.POSTPROCESS_EVICT,
+                        victim, pe.lane, TraceCategory.POSTPROCESS_EVICT,
                         reason="post-task")
         else:
             self.evict_requests[pe.id].extend(victims)

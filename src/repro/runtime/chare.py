@@ -57,11 +57,28 @@ class Chare:
         self.index = index
         self.pe_id = pe_id
         self.array = array
+        #: entry name -> ``label.entry`` trace label, allocated by the
+        #: first traced delivery (untraced runs never build one)
+        self._entry_labels: dict[str, str] | None = None
 
     @property
     def label(self) -> str:
         idx = ",".join(map(str, self.index))
         return f"{type(self).__name__}[{idx}]"
+
+    def entry_label(self, entry_name: str) -> str:
+        """The ``label.entry`` trace label, built once per entry method.
+
+        The index never changes after binding, so each label is built on
+        the first traced delivery and reused for every later one.
+        """
+        labels = self._entry_labels
+        if labels is None:
+            labels = self._entry_labels = {}
+        label = labels.get(entry_name)
+        if label is None:
+            label = labels[entry_name] = f"{self.label}.{entry_name}"
+        return label
 
     def entry_spec(self, name: str) -> EntrySpec:
         try:

@@ -8,8 +8,8 @@ before delivery, exactly where the paper hooks Converse.
 
 from __future__ import annotations
 
-import inspect
 import typing as _t
+from types import GeneratorType
 
 from repro.errors import EntryMethodError
 from repro.obs import hooks as _oh
@@ -52,25 +52,22 @@ def deliver(runtime: "CharmRuntime", pe: PE, message: Message,
     runtime.current_pe_id = pe.id
     chare._exec_pe_id = pe.id
     result = spec.func(chare, *message.args, **message.kwargs)
-    if inspect.isgenerator(result):
+    if type(result) is GeneratorType:
+        # a simulated-time entry method; a plain one returned its value
         result = yield from result
-    elif result is not None and not inspect.isgenerator(result):
-        # plain (zero-sim-time) entry method: nothing to drive
-        pass
     elapsed = runtime.env.now - started
     pe.note_busy(elapsed)
     pe.tasks_executed += 1
     chare._measured_load += elapsed
     if runtime.tracer.enabled:
-        # guard here, not in record(): the lane/label f-strings are the
-        # expensive part on the hot path (mirrors the hook-slot discipline)
-        runtime.tracer.record(f"pe{pe.id}", TraceCategory.EXECUTE,
+        # lane and label are interned (built once per PE / chare entry)
+        runtime.tracer.record(pe.lane, TraceCategory.EXECUTE,
                               started, runtime.env.now,
-                              label=f"{chare.label}.{spec.name}")
+                              label=chare.entry_label(spec.name))
     if _oh.collector is not None:
         _oh.collector.on_execute_end(pe.id, message, task, started,
                                      runtime.env.now,
-                                     f"{chare.label}.{spec.name}")
+                                     chare.entry_label(spec.name))
 
     if task is not None and runtime.interceptor is not None:
         post_started = runtime.env.now
@@ -84,20 +81,22 @@ def converse_scheduler(runtime: "CharmRuntime", pe: PE) -> _t.Generator:
     pe.started_at = runtime.env.now
     while True:
         item = yield pe.run_queue.get()
-        if item is STOP:
-            break
-        if isinstance(item, ReadyTask):
-            yield from deliver(runtime, pe, item.message, task=item.task)
-            continue
-        if isinstance(item, RetryFetch):
-            if runtime.interceptor is not None:
-                started = runtime.env.now
-                yield from runtime.interceptor.retry(pe)
-                pe.note_overhead(runtime.env.now - started)
-            continue
-        if not isinstance(item, Message):
-            raise EntryMethodError(
-                f"pe{pe.id}: unexpected run-queue item {item!r}")
+        if type(item) is not Message:
+            # plain messages are the common item; the rest are rare
+            if item is STOP:
+                break
+            if isinstance(item, ReadyTask):
+                yield from deliver(runtime, pe, item.message, task=item.task)
+                continue
+            if isinstance(item, RetryFetch):
+                if runtime.interceptor is not None:
+                    started = runtime.env.now
+                    yield from runtime.interceptor.retry(pe)
+                    pe.note_overhead(runtime.env.now - started)
+                continue
+            if not isinstance(item, Message):
+                raise EntryMethodError(
+                    f"pe{pe.id}: unexpected run-queue item {item!r}")
         interceptor = runtime.interceptor
         if (interceptor is not None and not item.intercepted
                 and interceptor.wants(item)):

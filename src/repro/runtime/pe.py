@@ -25,6 +25,7 @@ from repro.sim.resources import Store
 from repro.sim.sync import Lock
 
 if _t.TYPE_CHECKING:  # pragma: no cover
+    from repro.sim.events import Event
     from repro.sim.process import Process
 
 __all__ = ["PE"]
@@ -36,6 +37,8 @@ class PE:
     def __init__(self, env: Environment, pe_id: int, core: Core):
         self.env = env
         self.id = pe_id
+        #: trace lane name, built once (deliver records one span per task)
+        self.lane = f"pe{pe_id}"
         self.core = core
         #: converse queue: messages + ready OOC tasks, FIFO
         self.run_queue = Store(env, name=f"pe{pe_id}.runq")
@@ -49,6 +52,10 @@ class PE:
         #: protects the wait queue (cooperative, but contention is traced)
         self.wait_lock = Lock(env, name=f"pe{pe_id}.waitlock")
         self.scheduler_process: "Process | None" = None
+        #: callback of a message's delivery-latency timeout, which carries
+        #: the message as its value: bound once here instead of one
+        #: closure per send
+        self.on_arrival = self._on_arrival
         # -- accounting -------------------------------------------------------
         self.busy_time = 0.0          # executing entry methods
         self.overhead_time = 0.0      # pre/post-processing on this PE
@@ -56,6 +63,9 @@ class PE:
         self.messages_delivered = 0
         self.started_at: float | None = None
         self.stopped_at: float | None = None
+
+    def _on_arrival(self, event: "Event") -> None:
+        self.run_queue.put(event._value)
 
     # -- wait queue helpers (FIFO, as the paper specifies) ---------------------
 

@@ -110,8 +110,8 @@ class CharmRuntime:
         self.messages_sent += 1
         pe = self.pes[target.pe_id]
         if self.message_latency > 0:
-            self.env.timeout(self.message_latency).add_callback(
-                lambda _ev: pe.run_queue.put(msg))
+            self.env.timeout(self.message_latency, msg).add_callback(
+                pe.on_arrival)
         else:
             pe.run_queue.put(msg)
         return msg

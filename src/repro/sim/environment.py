@@ -64,6 +64,8 @@ URGENT = 0
 #: compact when tombstones exceed both this floor and the live count
 _COMPACT_MIN_DEAD = 64
 
+_INF = float("inf")
+
 #: hoisted for Environment.timeout() (one LOAD_ATTR per timeout otherwise)
 _new_timeout = Timeout.__new__
 
@@ -93,9 +95,9 @@ class Environment:
                  reuse_handles: bool = False,
                  kernel: bool | None = None):
         self._now = float(initial_time)
-        #: run() full drains go through the fused kernel loop
+        #: every run() form goes through the fused kernel loop
         #: (repro.sim.kernel.drain) unless disabled here or via
-        #: $REPRO_SIM_KERNEL=0; both loops are order-identical
+        #: $REPRO_SIM_KERNEL=0; all loops are order-identical
         if kernel is None:
             kernel = _os.environ.get("REPRO_SIM_KERNEL", "1") != "0"
         self._kernel = kernel
@@ -445,11 +447,13 @@ class Environment:
 
     # -- run loop -----------------------------------------------------------
 
-    def _advance_clock(self) -> bool:
+    def _advance_clock(self, limit: float = _INF) -> bool:
         """Drain the next non-empty bucket into the agenda; move the clock.
 
-        Returns False when no live future event exists.  The clock only
-        lands on instants that still hold at least one live entry.
+        Returns False when no live future event exists at or before
+        ``limit`` (the kernel's deadline exit; buckets past it stay
+        queued).  The clock only lands on instants that still hold at
+        least one live entry.
         """
         self._tcache_t = -1.0  # buckets may leave the dict below
         times = self._times
@@ -458,6 +462,8 @@ class Environment:
             # no tombstones anywhere and no urgent futures (the common
             # case): move the whole bucket without per-event checks
             while times:
+                if times[0] > limit:
+                    return False
                 t = _heappop(times)
                 nb = buckets.pop(t, None)
                 if nb is None:
@@ -467,6 +473,8 @@ class Environment:
                 return True
             return False
         while times:
+            if times[0] > limit:
+                return False
             t = _heappop(times)
             ub = ubuckets.pop(t, None)
             nb = buckets.pop(t, None)
@@ -579,20 +587,6 @@ class Environment:
             # dropping a crashed process.
             raise event._value
 
-    def _drain_all(self) -> None:
-        """Run every pending event until the queue dries.
-
-        Dispatches to the fused kernel loop (:func:`repro.sim.kernel.drain`)
-        unless it is disabled or an observer (race tracker / sanitizer)
-        is installed — observers get the reference loop, whose per-event
-        hook points are the observable contract.  Both loops process
-        events in identical order.
-        """
-        if self._kernel and _rh.tracker is None:
-            _kernel.drain(self)
-        else:
-            self._drain_reference()
-
     def _drain_reference(self) -> None:
         """The reference hot loop: batched drain with inlined dispatch.
 
@@ -703,30 +697,51 @@ class Environment:
         """Run until the queue drains, a deadline, or an event fires.
 
         * ``until=None`` — drain the queue completely.
-        * ``until=<float>`` — run to that simulated time.
+        * ``until=<float>`` — run to that simulated time.  Events at
+          exactly ``until`` run; the clock then reads ``until``.
         * ``until=<Event>`` — run until that event is processed and return
           its value.  Raises :class:`DeadlockError` if the queue drains
           first (the event can then never fire).
+
+        All three go through the fused kernel loop
+        (:func:`repro.sim.kernel.drain`, with its stop-event and deadline
+        exits) unless the kernel is disabled, a tie-breaker is installed
+        or an observer (race tracker / sanitizer) is live.  Then — and
+        for whatever is left after an observer is installed mid-run — the
+        reference loops run: :meth:`_drain_reference` for full drains and
+        a :meth:`step` loop for the bounded ones.  Every loop processes
+        events in the same ``(time, priority-band, FIFO)`` order.
         """
+        on_kernel = (self._kernel and self._tie_break is None
+                     and _rh.tracker is None)
         if until is None:
-            if self._tie_break is not None:
+            if on_kernel:
+                _kernel.drain(self)
+            elif self._tie_break is not None:
                 while self._live:
                     self._legacy_step()
-                return None
-            self._drain_all()
+            else:
+                self._drain_reference()
             return None
 
         if isinstance(until, Event):
             target = until
-            done: list = []
-            target.add_callback(done.append)
-            while self._live and not done:
-                self.step()
-            if not done:
-                raise DeadlockError(
-                    f"event queue drained before {target!r} fired",
-                    waiting=tuple(sorted(p.name for p in self._active.values())),
-                )
+            if not target._processed:
+                if on_kernel:
+                    _kernel.drain(self, target)
+                if not target._processed:
+                    # the reference path; after a kernel drain, only an
+                    # observer handoff or an empty queue (deadlock) is left
+                    done: list = []
+                    target.add_callback(done.append)
+                    while self._live and not done:
+                        self.step()
+                    if not done:
+                        raise DeadlockError(
+                            f"event queue drained before {target!r} fired",
+                            waiting=tuple(sorted(
+                                p.name for p in self._active.values())),
+                        )
             if not target.ok:
                 target.defuse()
                 raise target.value
@@ -736,6 +751,10 @@ class Environment:
         if deadline < self._now:
             raise SimulationError(
                 f"run(until={deadline!r}) is in the past (now={self._now!r})")
+        if deadline != deadline:
+            raise SimulationError("run(until=nan): the deadline is not a time")
+        if on_kernel:
+            _kernel.drain(self, None, deadline)
         while self._live and self.peek() <= deadline:
             self.step()
         self._now = deadline

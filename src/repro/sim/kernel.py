@@ -1,9 +1,13 @@
 """The extracted simulation kernel: fused drain loop over plain structures.
 
 This module is the interpreter-friendly core of the event loop.  It holds
-exactly one entry point, :func:`drain`, which runs the environment's
-pending-event structures dry.  The loop body touches only locals, lists,
-dicts and scalar slots — no closures, no property layers, no per-event
+exactly one entry point, :func:`drain`, which every
+:meth:`Environment.run` form uses: it runs the environment's
+pending-event structures dry, or up to one of two exact exits — right
+after a given event was dispatched (``run(until=event)``, the apps'
+``run_until``) or before the clock would pass a deadline
+(``run(until=t)``).  The loop body touches only locals, lists, dicts and
+scalar slots — no closures, no property layers, no per-event
 method-object allocation — so a future mypyc/Cython pass has a single
 self-contained function to compile.
 
@@ -25,8 +29,18 @@ What the kernel fuses (and why it is order-preserving):
   :attr:`Process._handle` for the ownership contract).  Queue contents
   and append positions are unchanged — only the object identity of the
   hot events differs — so processing order is untouched.
+* **Exits.** The stop-event exit is one identity check per dispatched
+  event (NORMAL and URGENT paths alike), made before the URGENT
+  preemption: the rest of the batch is spliced back to the head of its
+  agenda and URGENT arrivals stay queued — exactly the state a ``step()``
+  loop leaves when it stops at that event.  The deadline exit is a bound
+  on :meth:`Environment._advance_clock`, which leaves every bucket past
+  the deadline in place; events at exactly the deadline still run.
+  Neither exit reorders anything, so a run split into any number of
+  bounded drains dispatches the same ``(time, band, FIFO)`` sequence as
+  one full drain.
 * **Live-entry accounting.** ``env._live`` normally counts every
-  scheduled entry so that the step-driven ``run(until=...)`` loops and
+  scheduled entry so that the reference ``step()`` loops and
   the sanitizer's conservation check can see the queue depth.  Inside a
   kernel drain nothing reads that counter — the drain is agenda/bucket
   driven — so on entry the kernel *converts* the NORMAL domain to an
@@ -35,8 +49,8 @@ What the kernel fuses (and why it is order-preserving):
   while ``env._in_kernel`` is set.  URGENT entries stay counted: they
   are dispatched through :meth:`Environment._dispatch`, which
   decrements per event.  The ``finally`` clause converts back (a walk
-  over whatever survived an exception or an observer handoff), so the
-  counter is exact again whenever user code can observe it.
+  over whatever survived an exit, an exception or an observer handoff),
+  so the counter is exact again whenever user code can observe it.
 
 The loop body is deliberately duplicated per mode (``reuse_handles`` on
 vs off): the reuse copy carries the ``env._current`` publication and the
@@ -45,13 +59,15 @@ of :meth:`Process._resume`.  Keeping the hot loop branch-free beats
 sharing the sixty lines.
 
 Observers always win: when a race tracker / sanitizer is installed the
-kernel immediately delegates to :meth:`Environment._drain_reference`,
-whose per-event hook points are the observable contract (an observer
-installed *mid-batch* takes over at the next batch boundary).  Both
-loops process events in exactly ``(time, priority-band, scheduling
-order)`` order, so flipping between them can never change a simulation
-result — ``REPRO_SIM_KERNEL=0`` forces the reference loop for
-byte-identity cross-checks.
+environment runs the reference loops instead, whose per-event hook
+points are the observable contract.  An observer installed *mid-batch*
+takes over at the next batch boundary: a full drain delegates to
+:meth:`Environment._drain_reference`, a bounded one returns to
+``run()``'s ``step()`` loop, which honours the exit.  All loops process
+events in exactly ``(time, priority-band, scheduling order)`` order, so
+flipping between them can never change a simulation result —
+``REPRO_SIM_KERNEL=0`` forces the reference loops for byte-identity
+cross-checks.
 """
 
 from __future__ import annotations
@@ -64,8 +80,11 @@ from repro.sim.events import PENDING
 
 if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.environment import Environment
+    from repro.sim.events import Event
 
 __all__ = ["drain"]
+
+_INF = float("inf")
 
 #: resolved lazily on first drain: process.py imports environment.py which
 #: imports this module, so a top-level import would be circular
@@ -81,11 +100,24 @@ def _live_normal_count(env: "Environment") -> int:
     return n
 
 
-def drain(env: "Environment") -> None:
-    """Run every pending event until the queue dries (kernel loop).
+def drain(env: "Environment", until_event: "Event | None" = None,
+          deadline: float = _INF) -> None:
+    """Run pending events in order until an exit condition (kernel loop).
 
-    Semantically identical to :meth:`Environment._drain_reference`; any
-    behavioural change here must be mirrored there (and in ``step()`` /
+    * ``until_event`` — stop right after this event has been dispatched
+      (its callbacks ran).  The rest of its batch goes back to the head
+      of its agenda and URGENT arrivals stay queued, exactly the state a
+      ``step()`` loop leaves behind.
+    * ``deadline`` — never advance the clock past it; events at exactly
+      ``deadline`` still run.
+
+    Without either exit the queue is run dry.  A bounded drain also
+    returns early when an observer is installed mid-run;
+    :meth:`Environment.run` then finishes with its ``step()`` loop.
+
+    Semantically identical to :meth:`Environment._drain_reference` plus
+    the ``step()`` loops of :meth:`Environment.run`; any behavioural
+    change here must be mirrored there (and in ``step()`` /
     ``_dispatch``, the one-event reference versions).
     """
     global _Process, _HANDLE_NAME
@@ -98,21 +130,25 @@ def drain(env: "Environment") -> None:
     env._in_kernel = True
     try:
         if env._reuse:
-            _drain_reuse(env)
+            _drain_reuse(env, until_event, deadline)
         else:
-            _drain_plain(env)
+            _drain_plain(env, until_event, deadline)
     finally:
         env._current = None
         env._in_kernel = False
         env._live += _live_normal_count(env)
-    if _rh.tracker is not None:
+    if (_rh.tracker is not None and until_event is None
+            and deadline == _INF):
         # an observer was installed (possibly mid-run by a test): its
         # per-event hooks are the contract, so the reference loop — fed
-        # the reconverted, exact counters — takes over the remainder
+        # the reconverted, exact counters — takes over the remainder.  A
+        # bounded drain hands back to run()'s step loop instead, which
+        # honours the exit (the reference loop would run past it).
         env._drain_reference()
 
 
-def _drain_plain(env: "Environment") -> None:
+def _drain_plain(env: "Environment", until_event: "Event | None",
+                 deadline: float) -> None:
     """Fused drain, default mode: no handle reuse, no ``_current``."""
     process_t = _Process
     pending = PENDING
@@ -135,19 +171,27 @@ def _drain_plain(env: "Environment") -> None:
                         env._dead -= 1
                     else:
                         dispatch(event)
+                        if event is until_event:
+                            break
+                else:
+                    batch.clear()
+                    spare_u = batch
+                    continue
             except BaseException:
                 env._agenda_urgent[:0] = batch[batch.index(event) + 1:]
                 raise
-            batch.clear()
-            spare_u = batch
-            continue
+            # stop exit: the rest of the batch stays queued, in order
+            env._agenda_urgent[:0] = batch[batch.index(event) + 1:]
+            return
         batch = env._agenda_normal
         if batch:
             env._agenda_normal = spare_n
-        elif advance():
+        elif advance(deadline):
             continue
         else:
-            if env._live:  # pragma: no cover - conservation net
+            if env._live and deadline == _INF:  # pragma: no cover
+                # conservation net (a deadline exit may leave URGENT
+                # futures, which stay counted, beyond the deadline)
                 raise SimulationError(
                     f"{env._live} live entr(ies) unreachable by "
                     "the run loop (queue conservation broken)")
@@ -203,8 +247,13 @@ def _drain_plain(env: "Environment") -> None:
                     for extra in callbacks:
                         extra(event)
             else:
-                # generic callbacks: flow completions, conditions, hooks
+                # generic callbacks: flow completions, conditions, hooks.
+                # _cb0 is dropped first, as Event._process does: a
+                # condition's child holds the condition's bound _check
+                # and the condition holds its children, a cycle the
+                # cyclic collector would otherwise have to free
                 if callback is not None:
+                    event._cb0 = None
                     callback(event)
                 callbacks = event._cbs
                 if callbacks is not None:
@@ -217,6 +266,12 @@ def _drain_plain(env: "Environment") -> None:
                     # follow-up run() resumes exactly where this stopped
                     env._agenda_normal[:0] = batch[batch.index(event) + 1:]
                     raise event._value
+            if event is until_event:
+                # stop exit, checked before the URGENT preemption below:
+                # a step() loop would stop here too, with the URGENT
+                # arrivals and the rest of this batch still queued
+                env._agenda_normal[:0] = batch[batch.index(event) + 1:]
+                return
             # URGENT arrivals (process bootstrap) preempt the rest of
             # this NORMAL batch, matching (time, priority, seq) order.
             if u_agenda:
@@ -226,11 +281,16 @@ def _drain_plain(env: "Environment") -> None:
                         env._dead -= 1
                     else:
                         dispatch(uev)
+                        if uev is until_event:
+                            env._agenda_normal[:0] = \
+                                batch[batch.index(event) + 1:]
+                            return
         batch.clear()
         spare_n = batch
 
 
-def _drain_reuse(env: "Environment") -> None:
+def _drain_reuse(env: "Environment", until_event: "Event | None",
+                 deadline: float) -> None:
     """Fused drain, ``reuse_handles`` mode.
 
     Differences from :func:`_drain_plain`, both confined to the fused
@@ -279,20 +339,25 @@ def _drain_reuse(env: "Environment") -> None:
                         env._dead -= 1
                     else:
                         dispatch(event)
+                        if event is until_event:
+                            break
+                else:
+                    batch.clear()
+                    spare_u = batch
+                    continue
             except BaseException:
                 env._agenda_urgent[:0] = batch[batch.index(event) + 1:]
                 raise
-            batch.clear()
-            spare_u = batch
-            continue
+            env._agenda_urgent[:0] = batch[batch.index(event) + 1:]
+            return
         batch = env._agenda_normal
         if batch:
             env._agenda_normal = spare_n
-        elif advance():
+        elif advance(deadline):
             continue
         else:
             env._current = None
-            if env._live:  # pragma: no cover - conservation net
+            if env._live and deadline == _INF:  # pragma: no cover
                 raise SimulationError(
                     f"{env._live} live entr(ies) unreachable by "
                     "the run loop (queue conservation broken)")
@@ -420,8 +485,10 @@ def _drain_reuse(env: "Environment") -> None:
             else:
                 # generic callbacks may call the event factories: clear
                 # _current so they can never recycle a bystander's handle
+                # (_cb0 is dropped as in _drain_plain)
                 env._current = None
                 if callback is not None:
+                    event._cb0 = None
                     callback(event)
                 callbacks = event._cbs
                 if callbacks is not None:
@@ -431,6 +498,9 @@ def _drain_reuse(env: "Environment") -> None:
                 if not event._ok and not event._defused:
                     env._agenda_normal[:0] = batch[batch.index(event) + 1:]
                     raise event._value
+            if event is until_event:
+                env._agenda_normal[:0] = batch[batch.index(event) + 1:]
+                return  # drain() clears _current
             if u_agenda:
                 env._current = None
                 while u_agenda:
@@ -439,6 +509,10 @@ def _drain_reuse(env: "Environment") -> None:
                         env._dead -= 1
                     else:
                         dispatch(uev)
+                        if uev is until_event:
+                            env._agenda_normal[:0] = \
+                                batch[batch.index(event) + 1:]
+                            return
         env._current = None
         batch.clear()
         spare_n = batch
