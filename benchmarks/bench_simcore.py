@@ -14,10 +14,10 @@ records the trajectory in ``BENCH_simcore.json`` (see
   ports (the Figure 7 memcpy pile-up).  One connected component, so the
   gain here is same-instant batching only; this bounds the worst case.
 * ``event_churn`` — no fluid model at all: 64 store/resource worker loops
-  hammering ``Store.get``/``Resource.request``/``env.timeout``.  This is
-  the pure event-core hot path the fused kernel loop + handle-reuse pass
-  targets; the recorded ``ops_per_s`` is the before/after number quoted
-  in EXPERIMENTS.md.
+  hammering ``Store.get``/``Resource.request``/``env.timeout`` on a plain
+  ``Environment()`` — the kernel loop with handle reuse, the same path
+  the apps run.  The recorded ``ops_per_s`` is the before/after number
+  quoted in EXPERIMENTS.md.
 * ``run_until_churn`` — the same churn driven the way the apps drive a
   simulation: the host injects each round's items, then runs
   ``env.run(until=barrier)`` on a per-round barrier event.  This is the
@@ -133,12 +133,11 @@ def run_event_churn(*, pes: int = PES, rounds: int = 150) -> tuple[float, int]:
 
     Each of ``pes`` workers loops: blocking ``get`` from its store, a
     counted-resource acquire/release, and a tiny timeout — the per-message
-    skeleton of the runtime's PE loop.  ``reuse_handles=True`` (opt-in;
-    the apps' environments run without it): each worker's awaited events
-    are recycled through its private handle instead of allocated fresh.
+    skeleton of the runtime's PE loop.  Each worker's awaited events are
+    recycled through its private handle instead of allocated fresh.
     Returns (simulated end time, total worker iterations).
     """
-    env = Environment(reuse_handles=True)
+    env = Environment()
     stores = [Store(env, name=f"q{i}") for i in range(pes)]
     res = Resource(env, capacity=32, name="slots")
 
@@ -178,11 +177,11 @@ def run_until_churn(*, pes: int = PES, rounds: int = 150
 
     Instead of a feeder process, the host puts each round's items and
     then calls ``env.run(until=barrier)``; the last worker to finish the
-    round succeeds the barrier.  Same environment configuration and
-    worker loop (plus the barrier countdown) as the churn scenario.
+    round succeeds the barrier.  Same worker loop (plus the barrier
+    countdown) as the churn scenario.
     Returns (simulated end time, total worker iterations).
     """
-    env = Environment(reuse_handles=True)
+    env = Environment()
     stores = [Store(env, name=f"q{i}") for i in range(pes)]
     res = Resource(env, capacity=32, name="slots")
     #: [barrier event of the current round, workers still in the round]

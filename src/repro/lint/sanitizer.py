@@ -414,9 +414,8 @@ class SimSanitizer:
             # Event-queue conservation: every schedule() incremented _live,
             # every dispatch/cancel decremented it, so at quiescence the
             # counter must equal the untriggered entries actually stored.
-            # Checked only here — mid-batch the drain loop lags the counter
-            # deliberately (see Environment._drain_reference and
-            # repro.sim.kernel).
+            # Checked only here — mid-run the kernel's fused branch leaves
+            # the NORMAL domain out of the counter (see repro.sim.kernel).
             stored = env.live_entry_count()
             if counter != stored:
                 self._report(

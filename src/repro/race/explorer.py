@@ -7,11 +7,12 @@ a schedule-dependent bug — the paper's runtime makes no such promise
 across N permuted schedules:
 
 * :class:`SeededTieBreaker` plugs into
-  :meth:`repro.sim.environment.Environment.set_tie_breaker` and replaces
-  each raw heap sequence number with ``(jitter, seq)``, where ``jitter``
-  is drawn from a seeded RNG — permuting only orders among same-instant,
-  same-priority events; everything else is untouched and every run is a
-  pure function of the seed;
+  :meth:`repro.sim.environment.Environment.set_tie_breaker`: each time the
+  kernel loop takes a same-instant, same-priority batch of two or more
+  events, the breaker keys every batch position ``i`` as ``(jitter, i)``,
+  with ``jitter`` drawn from a seeded RNG, and the batch runs in key
+  order — everything else is untouched and every run is a pure function
+  of the seed;
 * the IO round-robin start offset (strategies with ``_rr_start``) is
   drawn from the same seed, permuting which PE the scan serves first;
 * each schedule runs under ``racesan`` + ``simsan`` and is checked for
@@ -22,6 +23,12 @@ A failing schedule is **minimized** by binary-searching the smallest
 decision prefix that still fails: decisions past the ``limit`` fall back
 to FIFO, so the replay token is just ``(seed, limit)`` — two runs of the
 same token produce byte-identical outcomes.
+
+Migration note: decisions are numbered per permuted batch position, one
+per event of each multi-event batch, in the order the kernel takes the
+batches.  Tokens minted while the explorer still ran on a separate
+single-heap loop (which drew one decision per scheduled event) do not
+replay on this numbering; re-run the exploration to mint new ones.
 """
 
 from __future__ import annotations
@@ -48,13 +55,14 @@ Runner = _t.Callable[["Environment", "random.Random | None"], _t.Any]
 
 
 class SeededTieBreaker:
-    """Maps raw sequence numbers to ``(jitter, seq)`` heap keys.
+    """Maps batch positions to ``(jitter, seq)`` sort keys.
 
     Keys stay unique (``seq`` is the tiebreak of the tiebreak), so the
     permutation is total and deterministic in the seed.  With ``limit``
     set, decisions beyond it get jitter 0 — FIFO, and *ahead* of any
-    jittered same-instant entry — which is what makes minimized replays
-    stable: only the first ``limit`` decisions ever differ from FIFO.
+    jittered entry of the same batch — which is what makes minimized
+    replays stable: only the first ``limit`` decisions ever differ from
+    FIFO.
     """
 
     def __init__(self, seed: int, limit: int | None = None):

@@ -37,14 +37,16 @@ STOP = _Stop()
 def deliver(runtime: "CharmRuntime", pe: PE, message: Message,
             task: _t.Any = None) -> _t.Generator:
     """Execute one entry method on ``pe`` (generator; runs in the PE loop)."""
+    env = runtime.env
     chare = message.target
     spec = message.entry
-    message.delivered_at = runtime.env.now
+    # simulated time only moves across the yields below, so each stretch
+    # between them reads the clock once
+    started = message.delivered_at = env.now
     pe.messages_delivered += 1
     if _rh.tracker is not None:
         _rh.tracker.on_deliver(pe, message, task)
 
-    started = runtime.env.now
     if _oh.collector is not None:
         # begin is published before the entry runs so messages sent from
         # inside it can parent on this span (causal send -> execute edges)
@@ -55,30 +57,30 @@ def deliver(runtime: "CharmRuntime", pe: PE, message: Message,
     if type(result) is GeneratorType:
         # a simulated-time entry method; a plain one returned its value
         result = yield from result
-    elapsed = runtime.env.now - started
+    ended = env.now
+    elapsed = ended - started
     pe.note_busy(elapsed)
     pe.tasks_executed += 1
     chare._measured_load += elapsed
     if runtime.tracer.enabled:
         # lane and label are interned (built once per PE / chare entry)
         runtime.tracer.record(pe.lane, TraceCategory.EXECUTE,
-                              started, runtime.env.now,
+                              started, ended,
                               label=chare.entry_label(spec.name))
     if _oh.collector is not None:
-        _oh.collector.on_execute_end(pe.id, message, task, started,
-                                     runtime.env.now,
+        _oh.collector.on_execute_end(pe.id, message, task, started, ended,
                                      chare.entry_label(spec.name))
 
     if task is not None and runtime.interceptor is not None:
-        post_started = runtime.env.now
         yield from runtime.interceptor.post_process(pe, task)
-        pe.note_overhead(runtime.env.now - post_started)
+        pe.note_overhead(env.now - ended)
     return result
 
 
 def converse_scheduler(runtime: "CharmRuntime", pe: PE) -> _t.Generator:
     """The scheduler loop bound to one PE (one simulated process)."""
-    pe.started_at = runtime.env.now
+    env = runtime.env
+    pe.started_at = env.now
     while True:
         item = yield pe.run_queue.get()
         if type(item) is not Message:
@@ -90,9 +92,9 @@ def converse_scheduler(runtime: "CharmRuntime", pe: PE) -> _t.Generator:
                 continue
             if isinstance(item, RetryFetch):
                 if runtime.interceptor is not None:
-                    started = runtime.env.now
+                    started = env.now
                     yield from runtime.interceptor.retry(pe)
-                    pe.note_overhead(runtime.env.now - started)
+                    pe.note_overhead(env.now - started)
                 continue
             if not isinstance(item, Message):
                 raise EntryMethodError(
@@ -101,9 +103,9 @@ def converse_scheduler(runtime: "CharmRuntime", pe: PE) -> _t.Generator:
         if (interceptor is not None and not item.intercepted
                 and interceptor.wants(item)):
             item.intercepted = True
-            started = runtime.env.now
+            started = env.now
             yield from interceptor.intercept(pe, item)
-            pe.note_overhead(runtime.env.now - started)
+            pe.note_overhead(env.now - started)
             continue
         yield from deliver(runtime, pe, item)
-    pe.stopped_at = runtime.env.now
+    pe.stopped_at = env.now

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import typing as _t
 from itertools import count
+from types import MappingProxyType
 
 if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.chare import Chare
@@ -18,6 +19,9 @@ __all__ = ["Message"]
 
 _msg_ids = count()
 
+#: shared read-only kwargs of every message sent without keywords
+_NO_KWARGS: _t.Mapping[str, _t.Any] = MappingProxyType({})
+
 
 class Message:
     """An entry-method invocation in flight."""
@@ -26,13 +30,14 @@ class Message:
                  "created_at", "delivered_at", "intercepted")
 
     def __init__(self, target: "Chare", entry: "EntrySpec",
-                 args: tuple = (), kwargs: dict | None = None,
+                 args: tuple = (),
+                 kwargs: _t.Mapping[str, _t.Any] | None = None,
                  nbytes: int = 0, created_at: float = 0.0):
         self.mid = next(_msg_ids)
         self.target = target
         self.entry = entry
         self.args = args
-        self.kwargs = kwargs or {}
+        self.kwargs = kwargs or _NO_KWARGS
         #: payload size, for communication-cost accounting
         self.nbytes = int(nbytes)
         self.created_at = created_at

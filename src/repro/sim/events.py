@@ -117,11 +117,11 @@ class Event:
         # single hottest call in the simulator (every store handoff,
         # resource grant and process resumption lands here)
         env = self.env
-        if delay == 0.0 and env._tie_break is None:
+        if delay == 0.0:
             env._agenda_normal.append(self)
             if env._in_kernel:
-                # NORMAL domain is uncounted during a kernel drain (the
-                # drain reconciles _live on exit; see repro.sim.kernel)
+                # NORMAL domain is uncounted in the kernel's fused branch
+                # (it reconciles _live on exit; see repro.sim.kernel)
                 return self
             env._live += 1
             if _rh.tracker is not None:

@@ -28,10 +28,9 @@ __all__ = ["Process"]
 #: hoisted allocator for the reusable handle event (see Process._handle)
 _new_timeout = Timeout.__new__
 
-#: every reusable handle shares this one name *object*; the kernel loop
-#: recognises handles by identity (``event.name is HANDLE_NAME``), which
-#: lets it skip the type/_ok checks of the general dispatch path.  Built
-#: via join so it is NOT the interned literal — a user event created with
+#: every reusable handle shares this one name *object*, so a handle is
+#: recognisable by identity (``event.name is HANDLE_NAME``).  Built via
+#: join so it is NOT the interned literal — a user event created with
 #: ``name="proc.handle"`` can never alias it.
 HANDLE_NAME = "".join(("proc.", "handle"))
 
@@ -69,31 +68,29 @@ class Process(Event):
         self._send = generator.send
         self._throw = generator.throw
         self._resume_cb = self
-        #: the event this process is currently waiting on (None if running/finished)
-        self._target: Event | None = None
-        if env._reuse:
-            # The process's private *handle*: a recyclable event the
-            # factories (Store.get / Resource.request / env.timeout) hand
-            # back instead of a fresh allocation when this process calls
-            # them during its own turn.  Ownership contract (opt-in via
-            # Environment(reuse_handles=True)): the awaited event may not
-            # be retained past the resume — keep the delivered value, not
-            # the event object.  Born processed=True: "ready for reuse".
-            handle = _new_timeout(Timeout)
-            handle.env = env
-            handle.name = HANDLE_NAME
-            handle._cb0 = None
-            handle._cbs = None
-            handle._ok = True
-            handle._value = None
-            handle._processed = True
-            handle._cancelled = False
-            handle.delay = 0.0
-            self._handle = handle
-        else:
-            self._handle = None
+        # The process's private *handle*: a recyclable event the factories
+        # (Store.get / Resource.request / env.timeout) hand back instead of
+        # a fresh allocation when this process calls them during its own
+        # turn in the kernel's fused branch.  Ownership contract: an
+        # awaited factory event may not be retained past the resume —
+        # keep the delivered value, not the event object.  Born
+        # processed=True: "ready for reuse".
+        handle = _new_timeout(Timeout)
+        handle.env = env
+        handle.name = HANDLE_NAME
+        handle._cb0 = None
+        handle._cbs = None
+        handle._ok = True
+        handle._value = None
+        handle._processed = True
+        handle._cancelled = False
+        handle.delay = 0.0
+        self._handle = handle
         env.register_process(self)
-        _Init(env).add_callback(self)
+        #: the event this process is currently waiting on (None once
+        #: finished); only that event may resume it
+        self._target: Event | None = _Init(env)
+        self._target.add_callback(self)
 
     @property
     def is_alive(self) -> bool:
@@ -113,15 +110,24 @@ class Process(Event):
         kill.fail(ProcessKilled(cause if cause is not None else self.name))
         kill.defuse()
         # Detach from whatever it was waiting on and resume with the failure.
-        kill.add_callback(self._resume)
+        kill.add_callback(self._interrupted)
+
+    def _interrupted(self, kill: Event) -> None:
+        """A kill reaches a live process whatever it was waiting on."""
+        if self._value is PENDING:
+            self._target = kill
+            self._resume(kill)
 
     # -- driving the generator ------------------------------------------------
 
     def _resume(self, event: Event) -> None:
         # direct slot access throughout: this callback runs once per event
         # on the hottest loop in the simulator, and the property layer
-        # (is_alive / ok / value / defuse) costs a measurable fraction
-        if self._value is not PENDING:
+        # (is_alive / ok / value / defuse) costs a measurable fraction.
+        # A wake-up from anything but the current target is stale: the
+        # process moved on (interrupted, or a recycled handle parked in
+        # a condition fired) or finished, which clears _target
+        if self._target is not event:
             return
         if _rh.tracker is not None:
             _rh.tracker.on_resume(self, event)
@@ -131,23 +137,8 @@ class Process(Event):
             else:
                 event._defused = True
                 next_event = self._throw(event._value)
-        except StopIteration as stop:
-            self._target = None
-            self.env.unregister_process(self)
-            self.succeed(stop.value)
-            return
-        except ProcessKilled as killed:
-            self._target = None
-            self.env.unregister_process(self)
-            self._ok = False
-            self._value = killed
-            self._defused = True
-            self.env.schedule(self)
-            return
         except BaseException as exc:
-            self._target = None
-            self.env.unregister_process(self)
-            self.fail(exc)
+            self._finish(exc)
             return
 
         # Yield-target validation rides on the slot accesses themselves: a
@@ -172,6 +163,23 @@ class Process(Event):
             raise SimulationError(
                 f"process {self.name!r} yielded {next_event!r}; processes may "
                 "only yield Event instances") from None
+
+    def _finish(self, exc: BaseException) -> None:
+        """The generator is done: ``exc`` is what its last resume raised.
+
+        Shared by :meth:`_resume` and the kernel's fused resumes.
+        """
+        self._target = None
+        self.env.unregister_process(self)
+        if isinstance(exc, StopIteration):
+            self.succeed(exc.value)
+        elif isinstance(exc, ProcessKilled):
+            self._ok = False
+            self._value = exc
+            self._defused = True
+            self.env.schedule(self)
+        else:
+            self.fail(exc)
 
     # The process is its own resume callback: generic dispatch paths call
     # ``event._cb0(event)`` without caring whether the waiter is a plain

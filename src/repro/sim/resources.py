@@ -61,19 +61,15 @@ class Store:
             ev = getters.popleft()
             ev._value = item
             env = self.env
+            env._agenda_normal.append(ev)
             if env._in_kernel:
-                # inside a kernel drain: no tie-breaker or observer can
-                # be active, and the NORMAL domain is uncounted — skip
-                # their checks on the per-message hot path
-                env._agenda_normal.append(ev)
+                # the kernel's fused branch: no observer is active and the
+                # NORMAL domain is uncounted — skip both on the
+                # per-message hot path
                 return
-            if env._tie_break is None:
-                env._agenda_normal.append(ev)
-                env._live += 1
-                if _rh.tracker is not None:
-                    _rh.tracker.on_scheduled(ev)
-            else:
-                env.schedule(ev)
+            env._live += 1
+            if _rh.tracker is not None:
+                _rh.tracker.on_scheduled(ev)
         else:
             # buffered handoff: the later get() succeeds from the getter's
             # own context, so without this hook the put->get causality edge
@@ -86,17 +82,16 @@ class Store:
         env = self.env
         proc = env._current
         if proc is not None:
-            # recycle the resuming process's private handle (reuse_handles
-            # mode, see Process._handle): three slot resets replace the
-            # allocation + eight-store init below.  _current is published
-            # only by the fused kernel loop, which never runs with an
-            # observer or tie-breaker installed and whose NORMAL domain
-            # is uncounted — the tracker/tie-break/_live branches of the
-            # general path below are statically dead here.  _cb0 keeps
-            # naming the owner (the kernel attach relies on it); _cbs
-            # needs no reset — every drain loop clears it at processing
-            # time, so a processed handle never carries overflow
-            # callbacks.  The
+            # recycle the resuming process's private handle (see
+            # Process._handle): three slot resets replace the allocation
+            # + eight-store init below.  _current is published only by
+            # the kernel's fused branch, which never runs with an
+            # observer installed and whose NORMAL domain is uncounted —
+            # the tracker/_live branches of the general path below are
+            # statically dead here.  _cb0 keeps naming the owner (the
+            # kernel attach relies on it); _cbs needs no reset — every
+            # dispatch path clears it at processing time, so a processed
+            # handle never carries overflow callbacks.  The
             # parked branch must restore _value = PENDING: conditions
             # (all_of/any_of) read ``triggered`` at construction, and a
             # stale value would make a parked handle look already fired.
@@ -129,15 +124,11 @@ class Store:
                 tracker.on_handoff_get(item)
             # inlined Event.succeed() (see put()); ev is freshly created
             ev._value = item
-            if env._in_kernel:
-                env._agenda_normal.append(ev)
-            elif env._tie_break is None:
-                env._agenda_normal.append(ev)
+            env._agenda_normal.append(ev)
+            if not env._in_kernel:
                 env._live += 1
                 if tracker is not None:
                     tracker.on_scheduled(ev)
-            else:
-                env.schedule(ev)
         else:
             ev._value = PENDING
             self._getters.append(ev)
@@ -235,7 +226,7 @@ class Resource:
         proc = env._current
         if proc is not None:
             # recycle the caller's handle — see Store.get() (the tracker /
-            # tie-break/_live branches below are statically dead here too)
+            # _live branches below are statically dead here too)
             ev = proc._handle
             if ev._processed:
                 ev._processed = False
@@ -261,18 +252,12 @@ class Resource:
         if self._in_use < self.capacity:
             self._in_use += 1
             # inlined Event.succeed() (see Store.put()); ev is fresh
-            if env._in_kernel:
-                ev._value = None
-                env._agenda_normal.append(ev)
-            elif env._tie_break is None:
-                ev._value = None
-                env._agenda_normal.append(ev)
+            ev._value = None
+            env._agenda_normal.append(ev)
+            if not env._in_kernel:
                 env._live += 1
                 if _rh.tracker is not None:
                     _rh.tracker.on_scheduled(ev)
-            else:
-                ev._value = PENDING
-                ev.succeed()
         else:
             ev._value = PENDING
             self._waiters.append(ev)
@@ -286,19 +271,13 @@ class Resource:
             # inlined Event.succeed() (see Store.put()): a parked waiter is
             # untriggered by construction
             ev = waiters.popleft()
+            ev._value = None
             env = self.env
+            env._agenda_normal.append(ev)
             if env._in_kernel:
-                # inside a kernel drain — see Store.put()
-                ev._value = None
-                env._agenda_normal.append(ev)
-                return
-            if env._tie_break is None:
-                ev._value = None
-                env._agenda_normal.append(ev)
-                env._live += 1
-                if _rh.tracker is not None:
-                    _rh.tracker.on_scheduled(ev)
-            else:
-                ev.succeed()
+                return  # the kernel's fused branch — see Store.put()
+            env._live += 1
+            if _rh.tracker is not None:
+                _rh.tracker.on_scheduled(ev)
         else:
             self._in_use -= 1
