@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import bisect
 import dataclasses
+import operator
 import typing as _t
 
 from repro.trace.events import TraceCategory
@@ -150,6 +151,11 @@ def _empty_report(start: float, end: float) -> CritPathReport:
                           {bucket: 0.0 for bucket in BUCKETS}, {}, [], [])
 
 
+_START = operator.attrgetter("start")
+_END = operator.attrgetter("end")
+_ORDER = operator.attrgetter("start", "end", "sid")
+
+
 def critical_path(spans: "_t.Sequence[Span]", *,
                   start: float | None = None,
                   end: float | None = None) -> CritPathReport:
@@ -160,14 +166,14 @@ def critical_path(spans: "_t.Sequence[Span]", *,
     """
     if not spans:
         return _empty_report(start or 0.0, end or 0.0)
-    t_end = max(s.end for s in spans) if end is None else end
-    t_start = min(s.start for s in spans) if start is None else start
+    t_end = max(map(_END, spans)) if end is None else end
+    t_start = min(map(_START, spans)) if start is None else start
     if t_end <= t_start:
         return _empty_report(t_start, t_end)
 
     by_sid = {span.sid: span for span in spans}
     lane_spans: dict[str, list[Span]] = {}
-    for span in sorted(spans, key=lambda s: (s.start, s.end, s.sid)):
+    for span in sorted(spans, key=_ORDER):
         lane_spans.setdefault(span.lane, []).append(span)
     lane_starts = {lane: [s.start for s in row]
                    for lane, row in lane_spans.items()}
@@ -192,7 +198,9 @@ def critical_path(spans: "_t.Sequence[Span]", *,
         report = _empty_report(t_start, t_end)
         report.contributions["scheduling"] = t_end - t_start
         return report
-    cur: "Span | None" = max(candidates, key=lambda s: coverage_key(s, t_end))
+    # coverage_key(s, t_end), spelled out: this max runs over every span
+    cur: "Span | None" = max(candidates, key=lambda s: (
+        s.end if s.end < t_end else t_end, s.start, s.lane, s.sid))
 
     contributions = {bucket: 0.0 for bucket in BUCKETS}
     by_lane: dict[str, dict[str, float]] = {}

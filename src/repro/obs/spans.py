@@ -98,6 +98,8 @@ class SpanTracer:
         self._lane_task: dict[str, int | None] = {}
         #: id(block) -> span id of the move that (last) made it resident
         self._block_fetch: dict[int, int] = {}
+        #: pe id -> (converse actor name, execute lane), built on first use
+        self._pe_names: dict[int, tuple[str, str]] = {}
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -121,34 +123,34 @@ class SpanTracer:
              start: float, end: float, label: str,
              causes: _t.Sequence[int], *, tid: int | None = None,
              block: str = "") -> Span:
-        unique: list[int] = []
-        for cause in causes:
-            if cause != sid and cause not in unique:
-                unique.append(cause)
-        # primary parent: the cause that finished (or will finish) last —
-        # an open cause (sender still executing) outranks any closed one
         parent: int | None = None
-        best = -1.0
-        for cause in unique:
-            done = self.by_sid.get(cause)
-            if done is None:      # still open: latest by construction
-                parent = cause
-                break
-            if done.end >= best:
-                best, parent = done.end, cause
+        if causes:
+            unique: list[int] = []
+            for cause in causes:
+                if cause != sid and cause not in unique:
+                    unique.append(cause)
+            # primary parent: the cause that finished (or will finish)
+            # last — an open cause (sender still executing) outranks any
+            # closed one
+            best = -1.0
+            by_sid = self.by_sid
+            for cause in unique:
+                done = by_sid.get(cause)
+                if done is None:      # still open: latest by construction
+                    parent = cause
+                    break
+                if done.end >= best:
+                    best, parent = done.end, cause
+            causes = tuple(unique)
+        else:
+            causes = ()
         span = Span(sid, lane, category, start, end, label,
-                    tuple(unique), parent, tid, block)
+                    causes, parent, tid, block)
         self.spans.append(span)
         self.by_sid[sid] = span
         return span
 
-    # -- current causal source ---------------------------------------------
-
-    def _ctx(self) -> int | None:
-        actor = self._ambient_actor
-        if actor is not None:
-            return self._open.get(actor)
-        return self._event_snap
+    # -- actor names -------------------------------------------------------
 
     def _actor_for(self, process: _t.Any) -> str:
         key = id(process)
@@ -163,8 +165,15 @@ class SpanTracer:
 
     # -- race-slot hooks: the detector's ordering sources -------------------
 
+    # on_scheduled / on_processing / on_resume run once per event.  The
+    # current causal source is read inline there and in on_handoff_put:
+    # the open span of the ambient actor (a process mid-turn), else the
+    # source snapshotted for the event being processed
+
     def on_scheduled(self, event: _t.Any) -> None:
-        src = self._ctx()
+        actor = self._ambient_actor
+        src = (self._event_snap if actor is None
+               else self._open.get(actor))
         if src is not None:
             self._event_src[id(event)] = src
 
@@ -176,10 +185,14 @@ class SpanTracer:
         self._ambient_actor = None
 
     def on_resume(self, process: _t.Any, event: _t.Any) -> None:
-        self._ambient_actor = self._actor_for(process)
+        name = self._actor_names.get(id(process))
+        self._ambient_actor = (self._actor_for(process) if name is None
+                               else name)
 
     def on_handoff_put(self, item: _t.Any) -> None:
-        src = self._ctx()
+        actor = self._ambient_actor
+        src = (self._event_snap if actor is None
+               else self._open.get(actor))
         if src is not None:
             self._item_src[id(item)] = src
 
@@ -191,6 +204,13 @@ class SpanTracer:
         pass    # the obs-slot execute hooks carry richer context
 
     # -- obs-slot hooks: instrumented call sites ----------------------------
+
+    def _pe_actor_lane(self, pe_id: int) -> tuple[str, str]:
+        names = self._pe_names.get(pe_id)
+        if names is None:
+            names = (f"converse-pe{pe_id}", f"pe{pe_id}")
+            self._pe_names[pe_id] = names
+        return names
 
     def on_execute_begin(self, pe_id: int, message: _t.Any,
                          task: _t.Any, now: float) -> None:
@@ -204,19 +224,19 @@ class SpanTracer:
                 fetched = self._block_fetch.get(id(block))
                 if fetched is not None:
                     causes.append(fetched)
-        actor = f"converse-pe{pe_id}"
+        actor = self._pe_actor_lane(pe_id)[0]
         self._open[actor] = sid
         self._pending_exec[actor] = (sid, causes)
 
     def on_execute_end(self, pe_id: int, message: _t.Any, task: _t.Any,
                        started: float, now: float, label: str) -> None:
-        actor = f"converse-pe{pe_id}"
+        actor, lane = self._pe_actor_lane(pe_id)
         pending = self._pending_exec.pop(actor, None)
         self._open.pop(actor, None)
         if pending is None:      # installed mid-run: no matching begin
             return
         sid, causes = pending
-        self._add(sid, f"pe{pe_id}", TraceCategory.EXECUTE,
+        self._add(sid, lane, TraceCategory.EXECUTE,
                   started, now, label, causes,
                   tid=None if task is None else task.tid)
 
